@@ -168,8 +168,11 @@ def gelfand_bound(bmap: BakerMap, n_max: int = 64, tol: float = 1e-10,
     For n in the doubling schedule 1, 2, 4, ..., n_max the Gram operator of
     B^n is driven to a top Ritz pair; ||B^n||^2 is upper-estimated by the
     Rayleigh quotient plus its absolute residual, which covers the remaining
-    gap once the iteration has locked onto the top cluster. Non-convergence
-    degrades the estimate but keeps it on the >= rho side. Once the
+    gap once the iteration has locked onto the top cluster. A level that
+    does not converge records the submultiplicative bound ||B^{n/2}||^2
+    instead (||B|| <= 1 at n = 1; source "submultiplicative-fallback", with
+    its Ritz value kept in the diagnostics), since an unconverged Ritz value
+    may sit below ||B^n||. Once the
     submultiplicative prediction ||B^{n/2}||^2 falls below NOISE_FLOOR the
     Gram spectrum is pure rounding noise, so that prediction is recorded
     directly (diagnostics carry source "submultiplicative"); this never
@@ -207,17 +210,18 @@ def gelfand_bound(bmap: BakerMap, n_max: int = 64, tol: float = 1e-10,
             return bmap.gram_apply(v, _n)
         try:
             theta, _, its, res = engine(gram, bmap.N, tol, seed)
-            converged = True
+            norm_upper = math.sqrt(max(theta, 0.0) * (1.0 + res))
+            converged, source = True, "iteration"
         except ConvergenceError as err:
             theta = err.sigma_best**2
-            res = err.residual if math.isfinite(err.residual) else 1.0
+            res = err.residual
             its = err.iterations
-            converged = False
-        norm_upper = math.sqrt(max(theta, 0.0) * (1.0 + res))
+            norm_upper = 1.0 if prev_upper is None else prev_upper * prev_upper
+            converged, source = False, "submultiplicative-fallback"
         powers.append((n, norm_upper))
         diagnostics.append({"n": n, "theta": theta, "residual": res,
                             "iterations": its, "converged": converged,
-                            "source": "iteration"})
+                            "source": source})
         rho_upper = min(rho_upper, norm_upper ** (1.0 / n))
         prev_upper = norm_upper
     comparison = None

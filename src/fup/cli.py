@@ -5,7 +5,8 @@ construction and masked norms, theorem1 / theorem2 / dirichlet for the
 certified bound pipelines, baker for spectral-radius reports, sweep for
 parameter grids, and plot for SVG rendering of sweep results. All emit
 canonical JSON (to stdout or --out). Exit codes: 0 success, 1 a certified
-invariant failed or an iteration did not converge, 2 bad parameters.
+invariant failed or an iteration did not converge, 2 bad parameters or out
+of memory.
 """
 from __future__ import annotations
 
@@ -264,6 +265,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ValueError, CapacityError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError as err:
+        print(f"error: out of memory: {err}", file=sys.stderr)
         return 2
     except (ArithmeticError, ConvergenceError) as err:
         print(f"computation failed: {err}", file=sys.stderr)

@@ -1,11 +1,30 @@
 """Unitary DFT, masked submatrix operators, and finite-k FUP exponents.
 
 The masked operator 1_X F_N 1_Y is never materialized for large N: its Gram
-v -> 1_Y F* 1_X F 1_Y v is applied by scatter / FFT / gather passes, and the
-largest singular value is extracted by a seeded iterative eigensolver. A
-dense one-sided Jacobi SVD provides the independent oracle route for modest
-sizes. Every result ships as a certificate carrying method, iteration count,
-residual, and seed.
+v -> 1_Y F* 1_X F 1_Y v is applied matrix-free, and the largest singular
+value is extracted by a seeded iterative eigensolver. A dense one-sided
+Jacobi SVD provides the independent oracle route for modest sizes. Every
+result ships as a certificate carrying method, iteration count, residual,
+and seed.
+
+The Gram runs on one of two routes, which give the same operator:
+
+- FFT: scatter into Z_N, N-point FFT, gather X, scatter, inverse FFT,
+  gather Y. Cost O(N log N) per application, for any masks.
+- Digit-pruned transform (FFT pruning, Markel 1971), for X = Y = C_k
+  undilated with N = M^k. Write W_{n_0} for the depth-(j-1) transform of
+  the subsequence of words with lowest digit n_0 in A, m = m_low +
+  M^{j-1} m_top with m_low in C_{j-1} and m_top in A, F_A[a, b] =
+  e^{-2 pi i ab/M} and tw_j[a, m_low] = e^{-2 pi i a m_low/M^j}. Then
+      output(m_low + M^{j-1} m_top)
+          = sum_{n_0 in A} F_A[m_top, n_0] tw_j[n_0, m_low] W_{n_0}(m_low),
+  so after one digit-reversal permutation, k stages of |A| x |A| blocks
+  give the transform at cost O(k |A|^{k+1}), and every intermediate has
+  |A|^k entries. The submatrix is symmetric, so its adjoint is
+  conj o F o conj.
+
+masked_gram_apply takes the pruned route when it applies and its cost
+k |A|^{k+1} is below N; otherwise the FFT route.
 """
 from __future__ import annotations
 
@@ -63,7 +82,11 @@ def dft_submatrix(X, Y, N: int) -> np.ndarray:
 
 
 def masked_gram_apply(X, Y, N: int):
-    """Matrix-free v -> 1_Y F* 1_X F 1_Y v on C^{|Y|}."""
+    """Matrix-free v -> 1_Y F* 1_X F 1_Y v on C^{|Y|}, coordinates in
+    increasing order of Y; the route is picked as in the module docstring."""
+    if (isinstance(X, CantorSet) and X == Y and N == X.modulus
+            and X.k * X.alphabet.size ** (X.k + 1) < N):
+        return _pruned_gram_apply(X.alphabet, X.k)
     Xi = _as_indices(X, N, "X")
     Yi = _as_indices(Y, N, "Y")
 
@@ -76,6 +99,35 @@ def masked_gram_apply(X, Y, N: int):
         return np.fft.ifft(full2, norm="ortho")[Yi]
 
     return apply, Yi.size
+
+
+def _pruned_gram_apply(alphabet: Alphabet, k: int):
+    """Gram of the masked DFT on C_k x C_k, N = M^k, by the digit-pruned
+    transform of the module docstring."""
+    M = alphabet.M
+    A = np.asarray(alphabet.letters, dtype=np.int64)
+    L = A.size
+    FA = np.exp((-2j * np.pi / M) * np.outer(A, A))
+    # reading the words' digits lowest first gives the stage-0 order
+    reverse = np.arange(L**k).reshape((L,) * k).T.reshape(-1)
+    twiddles = []
+    low = np.zeros(1, dtype=np.int64)  # C_0, sorted
+    for j in range(1, k + 1):
+        # a * m_low < M^j is exact in int64, so each phase is in [0, 2 pi)
+        twiddles.append(np.exp((-2j * np.pi / M**j) * np.outer(A, low)))
+        low = (low + M ** (j - 1) * A[:, None]).reshape(-1)
+
+    def transform(x):
+        x = x[reverse]
+        for j, tw in enumerate(twiddles):
+            x = (FA @ (x.reshape(-1, L, L**j) * tw)).reshape(-1)
+        return x
+
+    def apply(v):
+        w = transform(np.asarray(v, dtype=np.complex128))
+        return np.conj(transform(np.conj(w))) / M**k
+
+    return apply, L**k
 
 
 def power_top(apply, dim: int, tol: float = 1e-10, seed: int = 0,
@@ -135,14 +187,16 @@ def lanczos_top(apply, dim: int, tol: float = 1e-10, seed: int = 0,
     Deterministic for fixed seed. Handles the near-degenerate top clusters of
     masked-DFT Gram operators where plain power iteration stalls. Returns
     (theta, vector, matvecs, residual) with residual = |A v - theta v| / theta
-    measured by an explicit extra application.
+    measured by an explicit extra application. The basis starts with a few
+    rows and doubles up to ncv as the iteration needs them, so its memory
+    follows the matvecs used rather than ncv.
     """
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v /= np.linalg.norm(v)
     ncv = int(min(ncv, dim))
     keep = int(min(keep, max(1, ncv - 4)))
-    V = np.zeros((ncv + 1, dim), dtype=np.complex128)
+    V = np.zeros((min(ncv, 2 * check_every), dim), dtype=np.complex128)
     V[0] = v
     T = np.zeros((ncv, ncv))
     j = 0
@@ -152,9 +206,10 @@ def lanczos_top(apply, dim: int, tol: float = 1e-10, seed: int = 0,
         w = apply(V[j])
         matvecs += 1
         T[j, j] = float(np.vdot(V[j], w).real)
-        # full reorthogonalization, twice for stability
+        # full reorthogonalization, twice for stability; conj(V conj(w))
+        # is V* w without a conjugated copy of the basis
         for _ in range(2):
-            w = w - (V[: j + 1].conj() @ w) @ V[: j + 1]
+            w = w - np.conj(V[: j + 1] @ np.conj(w)) @ V[: j + 1]
         beta = float(np.linalg.norm(w))
         at_cap = j + 1 == ncv
         if (j + 1) % check_every == 0 or at_cap or beta < 1e-14:
@@ -175,12 +230,16 @@ def lanczos_top(apply, dim: int, tol: float = 1e-10, seed: int = 0,
             coupling = 0.0
             w = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
             for _ in range(2):
-                w = w - (V[: j + 1].conj() @ w) @ V[: j + 1]
+                w = w - np.conj(V[: j + 1] @ np.conj(w)) @ V[: j + 1]
             beta = float(np.linalg.norm(w))
             if beta < 1e-14:
                 break  # basis spans the whole space
         if not at_cap:
             T[j, j + 1] = T[j + 1, j] = coupling
+            if j + 1 == V.shape[0]:
+                grown = np.zeros((min(ncv, 2 * V.shape[0]), dim), dtype=np.complex128)
+                grown[: j + 1] = V
+                V = grown
             V[j + 1] = w / beta
             j += 1
             continue

@@ -2,10 +2,12 @@
 import numpy as np
 import pytest
 
+import fup.baker
 from conftest import dft_matrix
 from fup.baker import (BakerMap, CutoffProfile, build_baker, bump_profile,
                        gelfand_bound, make_cutoff, sharp_profile)
 from fup.cantor import Alphabet, CapacityError
+from fup.spectral import ConvergenceError
 
 RNG = np.random.default_rng(7)
 
@@ -170,3 +172,35 @@ def test_gelfand_report_json():
     d = rep.to_json()
     assert set(d) == {"N", "M", "powers", "rho_upper", "diagnostics", "comparison"}
     assert d["powers"] == [[n, u] for n, u in rep.powers]
+
+
+@pytest.mark.parametrize("failing_n", [1, 4])
+def test_unconverged_level_cannot_lower_rho_upper(monkeypatch, failing_n):
+    # an unconverged level whose Ritz value sits far below ||B^n|| must fall
+    # back to the submultiplicative bound instead of entering rho_upper
+    bmap = build_baker(81, 3, Alphabet(3, (0, 2)), bump_profile(27))
+    levels = [1, 2, 4]
+    real_engine = fup.baker.lanczos_top
+
+    def engine(apply, dim, tol, seed):
+        if levels.pop(0) == failing_n:
+            raise ConvergenceError("budget exhausted", sigma_best=1e-9,
+                                   residual=0.5, iterations=7)
+        return real_engine(apply, dim, tol, seed)
+
+    monkeypatch.setattr(fup.baker, "lanczos_top", engine)
+    rep = gelfand_bound(bmap, n_max=4)
+    monkeypatch.undo()
+    ups = dict(rep.powers)
+    diag = rep.diagnostics[[1, 2, 4].index(failing_n)]
+    assert diag["source"] == "submultiplicative-fallback"
+    assert not diag["converged"]
+    assert diag["theta"] == pytest.approx(1e-18)
+    assert diag["iterations"] == 7
+    if failing_n == 1:
+        assert ups[1] == 1.0
+    else:
+        assert ups[failing_n] == ups[failing_n // 2] ** 2
+        without = gelfand_bound(bmap, n_max=failing_n // 2)
+        # (u^2)^(1/n) and u^(2/n) may differ in the last bit
+        assert rep.rho_upper >= without.rho_upper * (1 - 1e-12)

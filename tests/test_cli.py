@@ -123,6 +123,15 @@ def test_exit_code_1_on_broken_invariant(monkeypatch, capsys):
     assert "computation failed" in capsys.readouterr().err
 
 
+def test_exit_code_2_on_memory_error(monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.02 GiB")
+    monkeypatch.setattr(fup.cli, "masked_norm", boom)
+    assert main(["norm", "--M", "3", "--alphabet", "0,2", "--k", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 8.02 GiB\n"
+
+
 def test_sweep_and_plot_determinism(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

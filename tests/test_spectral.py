@@ -1,16 +1,22 @@
 """DFT layer, masked norms, and exponent reports against dense oracles."""
 import math
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import fup.spectral
 from conftest import dft_matrix
 from fup.cantor import Alphabet, CapacityError, cantor_elements, dilate
 from fup.jacobi import jacobi_svd
-from fup.spectral import (ConvergenceError, beta_dilated, beta_k, dft_apply,
-                          dft_submatrix, masked_gram_apply, masked_norm,
-                          power_top, submatrix_norm_bounds)
+from fup.spectral import (ConvergenceError, _pruned_gram_apply, beta_dilated,
+                          beta_k, dft_apply, dft_submatrix, lanczos_top,
+                          masked_gram_apply, masked_norm, power_top,
+                          submatrix_norm_bounds)
 
 RNG = np.random.default_rng(1234)
 
@@ -68,6 +74,85 @@ def test_masked_gram_matches_dense():
     for _ in range(3):
         v = RNG.standard_normal(dim) + 1j * RNG.standard_normal(dim)
         assert np.max(np.abs(apply(v) - A.conj().T @ (A @ v))) < 1e-12
+
+
+@st.composite
+def _digit_sets(draw):
+    M = draw(st.integers(2, 9))
+    letters = tuple(sorted(draw(st.sets(st.integers(0, M - 1), min_size=1))))
+    # keep the dense oracle at most 729 x 729
+    k_max = max(k for k in range(1, 6) if len(letters) ** k <= 729)
+    return Alphabet(M, letters), draw(st.integers(1, k_max))
+
+
+@given(_digit_sets())
+@example((Alphabet(9, tuple(range(9))), 3))
+@example((Alphabet(7, (3,)), 5))
+@example((Alphabet(5, (1, 2, 3)), 4))
+def test_pruned_gram_matches_dense(case):
+    alphabet, k = case
+    c = cantor_elements(alphabet, k)
+    A = dft_submatrix(c, c, alphabet.M**k)
+    apply, dim = _pruned_gram_apply(alphabet, k)
+    assert dim == len(c.elements)
+    rng = np.random.default_rng(k)
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    assert np.max(np.abs(apply(v) - A.conj().T @ (A @ v))) < 1e-12
+
+
+def test_gram_route_choice(monkeypatch):
+    # k |A|^{k+1} = 4096 < 3^8: the pruned route pays for C_8 on Z_{3^8}
+    c = cantor_elements(Alphabet(3, (0, 2)), 8)
+    calls = []
+
+    def spy(alphabet, k):
+        calls.append((alphabet, k))
+        return _pruned_gram_apply(alphabet, k)
+
+    monkeypatch.setattr(fup.spectral, "_pruned_gram_apply", spy)
+    pruned, _ = masked_gram_apply(c, c, 3**8)
+    assert calls == [(c.alphabet, 8)]
+    fft, _ = masked_gram_apply(list(c.elements), list(c.elements), 3**8)
+    v = RNG.standard_normal(256) + 1j * RNG.standard_normal(256)
+    assert np.max(np.abs(pruned(v) - fft(v))) < 1e-12
+    other = cantor_elements(Alphabet(3, (0, 1)), 8)
+    d = dilate(c, Fraction(2))
+    for X, Y, N in [(d, d, d.N), (c, other, 3**8), (other, c, 3**8),
+                    (c, c, 3**9), (c, list(c.elements), 3**8)]:
+        masked_gram_apply(X, Y, N)
+    assert len(calls) == 1
+    # small sets stay on the FFT route by the cost rule
+    small = cantor_elements(Alphabet(3, (0, 2)), 4)
+    masked_gram_apply(small, small, 81)
+    assert len(calls) == 1
+
+
+def test_pruned_route_reaches_deep_k():
+    # N = 3^16 = 4.3e7, beyond what the FFT route handles in seconds
+    c16 = cantor_elements(Alphabet(3, (0, 2)), 16)
+    start = time.perf_counter()
+    cert = masked_norm(c16, c16, 3**16)
+    assert time.perf_counter() - start < 10.0
+    c8 = cantor_elements(Alphabet(3, (0, 2)), 8)
+    sigma8 = float(np.linalg.svd(dft_submatrix(c8, c8, 3**8), compute_uv=False)[0])
+    # submultiplicativity sigma_{k1 + k2} <= sigma_{k1} sigma_{k2}
+    assert cert.sigma_max <= sigma8**2 * (1 + 1e-8)
+    assert cert.residual <= 1e-10
+
+
+def test_lanczos_memory_follows_matvecs():
+    # a full ncv = 512 basis at dim 2^16 would take 512 MiB
+    c = cantor_elements(Alphabet(3, (0, 2)), 16)
+    apply, dim = masked_gram_apply(c, c, 3**16)
+    assert dim == 2**16
+    tracemalloc.start()
+    try:
+        _, _, matvecs, _ = lanczos_top(apply, dim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matvecs < 64
+    assert peak < 64 * 2**20
 
 
 @pytest.mark.parametrize("shape", [(8, 8), (12, 7), (7, 12), (1, 5), (5, 1), (3, 3)])
