@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -74,11 +75,19 @@ def sharp_profile(W: int) -> CutoffProfile:
 
 
 def make_cutoff(kind: str, W: int) -> CutoffProfile:
+    """Cutoff by name ("bump", "smooth-bump", "sharp"), or kind "custom" from
+    the comma-separated samples in the file named by kind."""
     if kind in ("bump", "smooth-bump"):
         return bump_profile(W)
     if kind == "sharp":
         return sharp_profile(W)
-    raise ValueError(f"unknown cutoff kind {kind!r}")
+    if not Path(kind).is_file():
+        raise ValueError(f"unknown cutoff kind {kind!r}")
+    try:
+        samples = np.loadtxt(kind, delimiter=",", ndmin=1)
+    except OSError as err:
+        raise ValueError(f"cannot read cutoff file {kind!r}: {err}") from err
+    return CutoffProfile("custom", samples)
 
 
 class BakerMap:
@@ -127,10 +136,6 @@ class BakerMap:
         return w
 
 
-def build_baker(N: int, M: int, alphabet: Alphabet, cutoff: CutoffProfile) -> BakerMap:
-    return BakerMap(N, M, alphabet, cutoff)
-
-
 @dataclass
 class GelfandReport:
     """Norm-of-powers data: rho_upper = min_n ||B^n||^{1/n} >= spectral radius.
@@ -148,16 +153,6 @@ class GelfandReport:
     rho_upper: float
     diagnostics: list
     comparison: dict | None
-
-    def to_json(self) -> dict:
-        return {
-            "N": self.N,
-            "M": self.M,
-            "powers": [[n, u] for n, u in self.powers],
-            "rho_upper": self.rho_upper,
-            "diagnostics": self.diagnostics,
-            "comparison": self.comparison,
-        }
 
 
 def gelfand_bound(bmap: BakerMap, n_max: int = 64, tol: float = 1e-10,

@@ -19,10 +19,6 @@ from fractions import Fraction
 # Indices must stay exactly representable as doubles for the FFT layer.
 CAPACITY = 2**53
 
-# Exact rational arithmetic: reduced, gcd(num, den) = 1, exact compare /
-# floor / ceil out of the box.
-ExactRational = Fraction
-
 
 class CapacityError(ValueError):
     """M^k (or an element count) exceeds the exact-integer budget."""
@@ -67,9 +63,6 @@ class Alphabet:
         # log|A|/log M; exact pair (|A|, M) is the stored truth
         return math.log(len(self.letters)) / math.log(self.M)
 
-    def to_json(self) -> dict:
-        return {"M": self.M, "letters": list(self.letters)}
-
     @staticmethod
     def from_json(d: dict) -> "Alphabet":
         return Alphabet(d["M"], tuple(d["letters"]))
@@ -87,13 +80,6 @@ class CantorSet:
     def modulus(self) -> int:
         return self.alphabet.M**self.k
 
-    def to_json(self) -> dict:
-        return {
-            "alphabet": self.alphabet.to_json(),
-            "k": self.k,
-            "elements": list(self.elements),
-        }
-
     @staticmethod
     def from_json(d: dict) -> "CantorSet":
         return CantorSet(Alphabet.from_json(d["alphabet"]), d["k"], tuple(d["elements"]))
@@ -107,14 +93,6 @@ class DilatedCantorSet:
     alpha: Fraction
     N: int
     elements: tuple[int, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "base": self.base.to_json(),
-            "alpha": rational_to_json(self.alpha),
-            "N": self.N,
-            "elements": list(self.elements),
-        }
 
     @staticmethod
     def from_json(d: dict) -> "DilatedCantorSet":

@@ -4,9 +4,11 @@ Subcommands mirror the library surface: cantor / norm / beta for set
 construction and masked norms, theorem1 / theorem2 / dirichlet for the
 certified bound pipelines, baker for spectral-radius reports, sweep for
 parameter grids, and plot for SVG rendering of sweep results. All emit
-canonical JSON (to stdout or --out). Exit codes: 0 success, 1 a certified
-invariant failed or an iteration did not converge, 2 bad parameters or out
-of memory.
+canonical JSON (to stdout or --out). The sweepable subcommands (beta,
+theorem1, theorem2, dirichlet, baker) run the sweep's runner for their
+command, so a flag left unset takes the runner's default. Exit codes: 0
+success, 1 a certified invariant failed or an iteration did not converge,
+2 bad parameters or out of memory.
 """
 from __future__ import annotations
 
@@ -16,18 +18,15 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
-from .baker import CutoffProfile, build_baker, gelfand_bound, make_cutoff
-from .cantor import CapacityError, cantor_elements, dilate, rational_to_json
-from .diophantine import best_rational, theorem2_report
-from .spectral import ConvergenceError, beta_dilated, beta_k, masked_norm
+from .cantor import CapacityError, cantor_elements, dilate
+from .spectral import ConvergenceError, masked_norm
 from .serialize import dumps_canonical
 from .svgplot import emit_plot
-from .sweep import SweepSpec, parse_alpha, parse_alphabet_spec, run_sweep
-from .testfn import theorem1_certificate
+from .sweep import _RUNNERS, SweepSpec, parse_alpha, parse_alphabet_spec, run_sweep
 
 ELEMENT_PRINT_CAP = 4096
+# parsed flags that are not parameters of the operation itself
+NON_PARAMS = {"command", "fn", "seed", "tol", "threads", "out", "svg"}
 
 
 def _tol(args) -> float:
@@ -64,7 +63,7 @@ def cmd_cantor(args) -> int:
         "alphabet": list(alphabet.letters),
         "delta": alphabet.delta,
         "k": args.k,
-        "alpha": rational_to_json(alpha),
+        "alpha": alpha,
         "N": N,
         "size": len(elements),
         "elements": list(elements) if len(elements) <= ELEMENT_PRINT_CAP else None,
@@ -78,65 +77,44 @@ def cmd_norm(args) -> int:
     alphabet, cantor, dil, N, alpha = _build_masks(args)
     mask = dil if dil is not None else cantor
     cert = masked_norm(mask, mask, N, tol=_tol(args), seed=_seed(args),
-                       method=args.method)
-    _emit({"M": alphabet.M, "k": args.k, "N": N,
-           "alpha": rational_to_json(alpha), "size": len(mask.elements),
-           "norm": cert.to_json()}, args)
+                       method=args.method or "lanczos")
+    _emit({"M": alphabet.M, "k": args.k, "N": N, "alpha": alpha,
+           "size": len(mask.elements), "norm": cert}, args)
+    return 0
+
+
+def _run(args):
+    """(row, report) of the sweep runner for this subcommand, given the
+    flags that were set."""
+    runner, _ = _RUNNERS[args.command]
+    params = {key: value for key, value in vars(args).items()
+              if value is not None and key not in NON_PARAMS}
+    return runner(params, _tol(args), _seed(args))
+
+
+def cmd_report(args) -> int:
+    _emit(_run(args)[1], args)
     return 0
 
 
 def cmd_beta(args) -> int:
-    alphabet, cantor, dil, N, alpha = _build_masks(args)
-    mask = dil if dil is not None else cantor
-    cert = masked_norm(mask, mask, N, tol=_tol(args), seed=_seed(args),
-                       method=args.method)
-    rep = beta_dilated(cert, dil) if dil is not None else beta_k(cert, alphabet, args.k)
-    _emit({"alpha": rational_to_json(alpha), "exponents": rep.to_json(),
-           "norm": cert.to_json()}, args)
+    row, detail = _run(args)
+    _emit({"alpha": Fraction(row["alpha"]), **detail}, args)
     return 0
 
 
 def cmd_theorem1(args) -> int:
-    rep = theorem1_certificate(args.M, args.delta, args.k,
-                               grid_points=args.grid, tol=_tol(args),
-                               seed=_seed(args), method=args.method,
-                               y_samples=args.ysamples)
-    _emit(rep.to_json(), args)
+    cmd_report(args)
     if args.svg:
         emit_plot([{"status": "ok", "M": args.M, "delta": args.delta}],
                   "profile", args.svg)
     return 0
 
 
-def cmd_theorem2(args) -> int:
-    rep = theorem2_report(args.M, args.Mdelta, args.k, parse_alpha(args.alpha),
-                          eps=args.eps, tol=_tol(args), seed=_seed(args),
-                          method=args.method, outer_grid=args.outer_grid)
-    _emit(rep.to_json(), args)
-    return 0
-
-
 def cmd_dirichlet(args) -> int:
-    ra = best_rational(parse_alpha(args.alpha), args.M, args.Mdelta,
-                       regime=args.regime)
-    _emit({"M": args.M, "Mdelta": args.Mdelta,
-           "alpha": rational_to_json(parse_alpha(args.alpha)),
-           "approx": ra.to_json()}, args)
-    return 0
-
-
-def cmd_baker(args) -> int:
-    alphabet = parse_alphabet_spec(args.M, args.alphabet)
-    W = args.N // args.M
-    if args.cutoff in ("bump", "smooth-bump", "sharp"):
-        cutoff = make_cutoff(args.cutoff, W)
-    else:
-        samples = np.loadtxt(args.cutoff, delimiter=",", ndmin=1)
-        cutoff = CutoffProfile("custom", samples)
-    bmap = build_baker(args.N, args.M, alphabet, cutoff)
-    rep = gelfand_bound(bmap, n_max=args.nmax, tol=_tol(args), seed=_seed(args),
-                        eps=args.eps, method=args.method)
-    _emit(rep.to_json(), args)
+    row, ra = _run(args)
+    _emit({"M": row["M"], "Mdelta": row["Mdelta"], "alpha": Fraction(row["alpha"]),
+           "approx": ra}, args)
     return 0
 
 
@@ -205,45 +183,41 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alphabet", required=True)
         p.add_argument("--k", type=int, required=True)
         p.add_argument("--alpha", default=None)
-        p.add_argument("--method", default="lanczos",
+        p.add_argument("--method",
                        choices=["lanczos", "power-iteration", "dense-svd"])
 
     p = add("theorem1", cmd_theorem1, "certified lower-bound pipeline")
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--grid", type=int, default=100_000)
-    p.add_argument("--ysamples", type=int, default=20_001)
-    p.add_argument("--method", default="lanczos",
-                   choices=["lanczos", "power-iteration", "dense-svd"])
+    p.add_argument("--grid", type=int)
+    p.add_argument("--ysamples", type=int)
+    p.add_argument("--method", choices=["lanczos", "power-iteration", "dense-svd"])
     p.add_argument("--svg", default=None, help="also write a profile SVG here")
 
-    p = add("theorem2", cmd_theorem2, "dilated upper-bound comparison")
+    p = add("theorem2", cmd_report, "dilated upper-bound comparison")
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--Mdelta", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--alpha", required=True, help='dilation "p/r"')
-    p.add_argument("--eps", type=float, default=0.0)
-    p.add_argument("--outer-grid", dest="outer_grid", type=int, default=200_000)
-    p.add_argument("--method", default="lanczos",
-                   choices=["lanczos", "power-iteration", "dense-svd"])
+    p.add_argument("--eps", type=float)
+    p.add_argument("--outer-grid", dest="outer_grid", type=int)
+    p.add_argument("--method", choices=["lanczos", "power-iteration", "dense-svd"])
 
     p = add("dirichlet", cmd_dirichlet, "best rational approximation of alpha/M")
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--Mdelta", type=int, required=True)
     p.add_argument("--alpha", required=True)
-    p.add_argument("--regime", default="strict", choices=["strict", "nonstrict"])
+    p.add_argument("--regime", choices=["strict", "nonstrict"])
 
-    p = add("baker", cmd_baker, "open baker's map spectral-radius report")
+    p = add("baker", cmd_report, "open baker's map spectral-radius report")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--alphabet", required=True)
-    p.add_argument("--cutoff", default="bump",
-                   help="bump | sharp | path to CSV samples")
-    p.add_argument("--nmax", type=int, default=64)
-    p.add_argument("--eps", type=float, default=0.0)
-    p.add_argument("--method", default="lanczos",
-                   choices=["lanczos", "power-iteration"])
+    p.add_argument("--cutoff", help="bump | sharp | path to CSV samples")
+    p.add_argument("--nmax", type=int)
+    p.add_argument("--eps", type=float)
+    p.add_argument("--method", choices=["lanczos", "power-iteration"])
 
     p = add("sweep", cmd_sweep, "run a parameter grid from a JSON config")
     p.add_argument("--config", required=True)

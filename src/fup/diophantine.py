@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cantor import (CantorSet, CapacityError, build_alphabet_initial,
-                     cantor_elements, dilate, rational_to_json)
+                     cantor_elements, dilate)
 from .spectral import FupExponentReport, NormCertificate, beta_dilated, masked_norm
 
 SK_MAX_K = 4
@@ -65,16 +65,6 @@ class RationalApprox:
     error: Fraction
     strict_ok: bool
     nonstrict_ok: bool
-
-    def to_json(self) -> dict:
-        return {
-            "b": self.b,
-            "q": self.q,
-            "gamma": self.gamma,
-            "error": rational_to_json(self.error),
-            "strict_ok": self.strict_ok,
-            "nonstrict_ok": self.nonstrict_ok,
-        }
 
 
 def _cf_candidates(x: Fraction, qmax: int) -> list[tuple[int, int]]:
@@ -236,23 +226,6 @@ class ExpSumBounds:
     k: int | None = None
     S_k_grid: float | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "M": self.M,
-            "Mdelta": self.Mdelta,
-            "alpha": rational_to_json(self.alpha),
-            "delta": self.delta,
-            "G_grid": self.G_grid,
-            "G_upper": self.G_upper,
-            "outer_points": self.outer_points,
-            "inner_points": self.inner_points,
-            "outer_step": self.outer_step,
-            "inner_step": self.inner_step,
-            "lipschitz_f1": self.lipschitz_f1,
-            "k": self.k,
-            "S_k_grid": self.S_k_grid,
-        }
-
 
 def g_bound(M: int, Mdelta: int, alpha, outer_grid: int = 200_000,
             inner_grid: int = 64) -> ExpSumBounds:
@@ -356,26 +329,6 @@ class Theorem2Report:
     bounds: ExpSumBounds
     prop_rhs: float
     C_fit: float
-
-    def to_json(self) -> dict:
-        return {
-            "M": self.M,
-            "Mdelta": self.Mdelta,
-            "k": self.k,
-            "N": self.N,
-            "delta": self.delta,
-            "alpha": rational_to_json(self.alpha),
-            "eps": self.eps,
-            "norm": self.norm.to_json(),
-            "exponents": self.exponents.to_json(),
-            "approx": self.approx.to_json(),
-            "gamma": self.gamma,
-            "target_exponent": self.target_exponent,
-            "eps_emp": self.eps_emp,
-            "bounds": self.bounds.to_json(),
-            "prop_rhs": self.prop_rhs,
-            "C_fit": self.C_fit,
-        }
 
 
 def theorem2_report(M: int, Mdelta: int, k: int, alpha, eps: float = 0.0,

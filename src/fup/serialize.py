@@ -6,10 +6,15 @@ round-trip repr, which is platform-stable for IEEE doubles. Non-finite
 floats have no JSON encoding and serialize as null. CSV uses the same float
 formatting, a fixed column order supplied by the caller, and "\n" line
 endings regardless of platform.
+
+Dataclass instances (every report type) serialize field by field into
+objects keyed by field name, so a report needs no encoder of its own:
+dumps_canonical(report) is its canonical JSON.
 """
 from __future__ import annotations
 
 import json
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,7 +23,8 @@ import numpy as np
 
 def sanitize(obj):
     """Reduce to plain JSON-able types: exact rationals become
-    numerator/denominator pairs, numpy scalars unwrap, non-finite -> None."""
+    numerator/denominator pairs, numpy scalars unwrap, non-finite -> None,
+    dataclass instances become {field name: value}."""
     if isinstance(obj, dict):
         return {str(k): sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -36,6 +42,8 @@ def sanitize(obj):
         return [sanitize(v) for v in obj.tolist()]
     if obj is None or isinstance(obj, str):
         return obj
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: sanitize(getattr(obj, f.name)) for f in fields(obj)}
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

@@ -284,15 +284,6 @@ class NormCertificate:
     residual: float
     seed: int
 
-    def to_json(self) -> dict:
-        return {
-            "sigma_max": self.sigma_max,
-            "method": self.method,
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "seed": self.seed,
-        }
-
 
 def masked_norm(X, Y, N: int, tol: float = 1e-10, seed: int = 0,
                 method: str = "lanczos",
@@ -349,13 +340,6 @@ class FupExponentReport:
     beta_k: float
     lower_theory: float  # max(0, 1/2 - delta)
     upper_theory: float  # 1/2 - delta/2
-
-    def to_json(self) -> dict:
-        return {
-            "M": self.M, "k": self.k, "N": self.N, "delta": self.delta,
-            "sigma_max": self.sigma_max, "beta_k": self.beta_k,
-            "lower_theory": self.lower_theory, "upper_theory": self.upper_theory,
-        }
 
 
 def beta_k(cert: NormCertificate, alphabet: Alphabet, k: int) -> FupExponentReport:

@@ -1,5 +1,10 @@
 """Deterministic parameter sweeps over the report-producing operations.
 
+_RUNNERS is the one implementation of each sweepable operation (beta,
+theorem1, theorem2, dirichlet, baker): it parses the parameters, applies the
+defaults and checks, and returns a flat summary row plus the full report.
+The CLI subcommands of the same names call these runners too.
+
 A sweep expands a parameter grid in a fixed order, runs each point in a
 thread pool (points are pure functions of their parameters and the seed),
 and writes three artifacts: results.jsonl (full nested records, one per
@@ -26,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baker import build_baker, gelfand_bound, make_cutoff
+from .baker import BakerMap, gelfand_bound, make_cutoff
 from .cantor import (Alphabet, CapacityError, build_alphabet_initial,
                      build_alphabet_interval, cantor_elements, dilate,
                      parse_rational)
@@ -34,7 +39,7 @@ from .diophantine import best_rational, theorem2_report
 from .spectral import ConvergenceError, beta_dilated, beta_k, masked_norm
 from .testfn import theorem1_certificate
 from . import __version__ as _pkg_version
-from .serialize import dumps_canonical, write_csv, write_json, write_jsonl
+from .serialize import dumps_canonical, sanitize, write_csv, write_json, write_jsonl
 
 SANDWICH_SLACK = 1e-9
 
@@ -133,7 +138,7 @@ def _point_beta(p: dict, tol: float, seed: int):
            "beta_k": rep.beta_k, "lower_theory": rep.lower_theory,
            "upper_theory": rep.upper_theory, "method": cert.method,
            "iterations": cert.iterations, "residual": cert.residual}
-    return row, {"exponents": rep.to_json(), "norm": cert.to_json()}
+    return row, {"exponents": rep, "norm": cert}
 
 
 _BETA_COLS = ["M", "alphabet", "k", "N", "delta", "alpha", "sigma", "beta_k",
@@ -153,7 +158,7 @@ def _point_theorem1(p: dict, tol: float, seed: int):
            "beta_upper_certified": rep.beta_upper_certified,
            "beta_bound_theory": rep.beta_bound_theory,
            "beta_bound_ok": rep.beta_bound_ok, "binding": rep.binding}
-    return row, rep.to_json()
+    return row, rep
 
 
 _T1_COLS = ["M", "delta", "k", "N", "sigma", "beta_k", "z_certified_lower",
@@ -171,7 +176,7 @@ def _point_theorem2(p: dict, tol: float, seed: int):
            "sigma": rep.norm.sigma_max, "beta_kN": rep.exponents.beta_k,
            "target_exponent": rep.target_exponent, "eps_emp": rep.eps_emp,
            "G_upper": rep.bounds.G_upper, "C_fit": rep.C_fit}
-    return row, rep.to_json()
+    return row, rep
 
 
 _T2_COLS = ["M", "Mdelta", "k", "alpha", "N", "q", "gamma", "sigma", "beta_kN",
@@ -180,13 +185,13 @@ _T2_COLS = ["M", "Mdelta", "k", "alpha", "N", "q", "gamma", "sigma", "beta_kN",
 
 def _point_dirichlet(p: dict, tol: float, seed: int):
     M, Mdelta = int(p["M"]), int(p["Mdelta"])
-    ra = best_rational(parse_alpha(p["alpha"]), M, Mdelta,
-                       regime=str(p.get("regime", "strict")))
-    row = {"M": M, "Mdelta": Mdelta, "alpha": str(parse_alpha(p["alpha"])),
+    alpha = parse_alpha(p["alpha"])
+    ra = best_rational(alpha, M, Mdelta, regime=str(p.get("regime", "strict")))
+    row = {"M": M, "Mdelta": Mdelta, "alpha": str(alpha),
            "b": ra.b, "q": ra.q, "gamma": ra.gamma,
            "error": f"{ra.error.numerator}/{ra.error.denominator}",
            "strict_ok": ra.strict_ok, "nonstrict_ok": ra.nonstrict_ok}
-    return row, ra.to_json()
+    return row, ra
 
 
 _DIR_COLS = ["M", "Mdelta", "alpha", "b", "q", "gamma", "error",
@@ -197,9 +202,9 @@ def _point_baker(p: dict, tol: float, seed: int):
     N, M = int(p["N"]), int(p["M"])
     alphabet = parse_alphabet_spec(M, p["alphabet"])
     cutoff = make_cutoff(str(p.get("cutoff", "bump")), N // M)
-    bmap = build_baker(N, M, alphabet, cutoff)
-    rep = gelfand_bound(bmap, n_max=int(p.get("nmax", 64)), tol=tol, seed=seed,
-                        eps=float(p.get("eps", 0.0)),
+    n_max = int(p.get("nmax", 64))
+    rep = gelfand_bound(BakerMap(N, M, alphabet, cutoff), n_max=n_max, tol=tol,
+                        seed=seed, eps=float(p.get("eps", 0.0)),
                         method=str(p.get("method", "lanczos")))
     comp = rep.comparison or {}
     alpha_json = comp.get("alpha")
@@ -207,11 +212,11 @@ def _point_baker(p: dict, tol: float, seed: int):
     if alpha_json is not None:
         alpha_str = f"{alpha_json['numerator']}/{alpha_json['denominator']}"
     row = {"N": N, "M": M, "alphabet": str(p["alphabet"]),
-           "cutoff": cutoff.kind, "nmax": int(p.get("nmax", 64)),
+           "cutoff": cutoff.kind, "nmax": n_max,
            "alpha": alpha_str, "q": comp.get("q"), "gamma": comp.get("gamma"),
            "rho_upper": rep.rho_upper,
            "theorem3_bound": comp.get("main_term")}
-    return row, rep.to_json()
+    return row, rep
 
 
 _BAKER_COLS = ["N", "M", "alphabet", "cutoff", "nmax", "alpha", "q", "gamma",
@@ -251,7 +256,7 @@ def run_sweep(spec: SweepSpec) -> RunRecord:
         try:
             row, detail = runner(p, spec.tol, spec.seed)
             return {"status": "ok", "error": None, "point": p, **row,
-                    "detail": detail}
+                    "detail": sanitize(detail)}
         except (ValueError, CapacityError) as err:
             return {"status": "skipped", "error": str(err), "point": p}
         except (ArithmeticError, ConvergenceError) as err:

@@ -118,16 +118,6 @@ def symbol_eval(seed: SeedFunction, x, chunk: int = 8192):
     return _match_shape(out, x)
 
 
-class SymbolEvaluator:
-    """Callable wrapper fixing the seed: evaluator(x) = G_f(x)."""
-
-    def __init__(self, seed: SeedFunction):
-        self.seed = seed
-
-    def __call__(self, x):
-        return symbol_eval(self.seed, x)
-
-
 def band_masses(seed: SeedFunction, letters, y, chunk: int = 4096) -> np.ndarray:
     """sum_{l in letters} |G_f(l/M + y)|^2 evaluated at each offset y.
 
@@ -218,14 +208,6 @@ class ZCertificate:
     z_certified_lower: float
     grid_step: float
     lipschitz_bound: float
-
-    def to_json(self) -> dict:
-        return {
-            "z_grid_min": self.z_grid_min,
-            "z_certified_lower": self.z_certified_lower,
-            "grid_step": self.grid_step,
-            "lipschitz_bound": self.lipschitz_bound,
-        }
 
 
 def band_lipschitz(seed: SeedFunction) -> float:
@@ -348,27 +330,6 @@ class Theorem1Report:
     tail_ok: bool
     exp_ok: bool
     binding: bool
-
-    def to_json(self) -> dict:
-        return {
-            "exponents": self.exponents.to_json(),
-            "z": self.z.to_json(),
-            "norm": self.norm.to_json(),
-            "seed_norm_sq": self.seed_norm_sq,
-            "seed_norm_floor": self.seed_norm_floor,
-            "tail_lhs": self.tail_lhs,
-            "tail_rhs": self.tail_rhs,
-            "chain_lhs": self.chain_lhs,
-            "chain_rhs": self.chain_rhs,
-            "sigma_lower": self.sigma_lower,
-            "beta_upper_certified": self.beta_upper_certified,
-            "beta_bound_theory": self.beta_bound_theory,
-            "beta_bound_ok": self.beta_bound_ok,
-            "norm_ok": self.norm_ok,
-            "tail_ok": self.tail_ok,
-            "exp_ok": self.exp_ok,
-            "binding": self.binding,
-        }
 
 
 def theorem1_certificate(M: int, delta: float, k: int,

@@ -16,7 +16,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from fup.baker import build_baker, gelfand_bound, make_cutoff
+from fup.baker import BakerMap, gelfand_bound, make_cutoff
 from fup.cantor import (build_alphabet_initial, build_alphabet_interval,
                         cantor_elements, dilate)
 from fup.diophantine import (best_rational, canonical_dilation, f1_abs,
@@ -388,13 +388,13 @@ def test_criterion_16_baker_unitary_control_and_contraction():
     ok = True
     for M, N in ((3, 27), (4, 64)):
         full = parse_alphabet_spec(M, ",".join(str(l) for l in range(M)))
-        rep = gelfand_bound(build_baker(N, M, full, make_cutoff("sharp", N // M)),
+        rep = gelfand_bound(BakerMap(N, M, full, make_cutoff("sharp", N // M)),
                             n_max=8)
         ok &= abs(rep.rho_upper - 1.0) <= 1e-10
         ok &= all(abs(u - 1.0) <= 1e-9 for _, u in rep.powers)
         rows.append(f"sharp Z_{M}: rho = {rep.rho_upper:.12f}")
 
-    bmap = build_baker(243, 3, parse_alphabet_spec(3, "0,2"),
+    bmap = BakerMap(243, 3, parse_alphabet_spec(3, "0,2"),
                        make_cutoff("bump", 81))
     rep = gelfand_bound(bmap, n_max=64)
     ok &= rep.rho_upper < 1.0

@@ -4,9 +4,10 @@ import pytest
 
 import fup.baker
 from conftest import dft_matrix
-from fup.baker import (BakerMap, CutoffProfile, build_baker, bump_profile,
+from fup.baker import (BakerMap, CutoffProfile, bump_profile,
                        gelfand_bound, make_cutoff, sharp_profile)
 from fup.cantor import Alphabet, CapacityError
+from fup.serialize import sanitize
 from fup.spectral import ConvergenceError
 
 RNG = np.random.default_rng(7)
@@ -67,7 +68,7 @@ def test_baker_matches_dense_oracle():
     N, M = 9, 3
     a = Alphabet(3, (0, 2))
     chi = bump_profile(3).samples
-    bmap = build_baker(N, M, a, bump_profile(3))
+    bmap = BakerMap(N, M, a, bump_profile(3))
     Bd = _dense_baker(N, M, a.letters, chi)
     for j in range(N):
         e = np.zeros(N, dtype=complex)
@@ -82,7 +83,7 @@ def test_baker_matches_dense_oracle():
 def test_baker_blocks_outside_alphabet_vanish():
     # input concentrated on the middle block (letter 1 is not in {0, 2})
     a = Alphabet(3, (0, 2))
-    bmap = build_baker(9, 3, a, sharp_profile(3))
+    bmap = BakerMap(9, 3, a, sharp_profile(3))
     v = np.zeros(9, dtype=complex)
     v[3:6] = RNG.standard_normal(3)
     assert np.max(np.abs(bmap.apply(v))) < 1e-14
@@ -90,7 +91,7 @@ def test_baker_blocks_outside_alphabet_vanish():
 
 def test_baker_unitary_control():
     a = Alphabet(3, (0, 1, 2))
-    bmap = build_baker(27, 3, a, sharp_profile(9))
+    bmap = BakerMap(27, 3, a, sharp_profile(9))
     for _ in range(5):
         v = RNG.standard_normal(27) + 1j * RNG.standard_normal(27)
         assert abs(np.linalg.norm(bmap.apply(v)) - np.linalg.norm(v)) < 1e-12
@@ -99,7 +100,7 @@ def test_baker_unitary_control():
 
 def test_baker_contraction():
     a = Alphabet(3, (0, 2))
-    bmap = build_baker(81, 3, a, bump_profile(27))
+    bmap = BakerMap(81, 3, a, bump_profile(27))
     for _ in range(5):
         v = RNG.standard_normal(81) + 1j * RNG.standard_normal(81)
         assert np.linalg.norm(bmap.apply(v)) <= np.linalg.norm(v) * (1 + 1e-12)
@@ -107,7 +108,7 @@ def test_baker_contraction():
 
 def test_gelfand_unitary():
     a = Alphabet(3, (0, 1, 2))
-    rep = gelfand_bound(build_baker(27, 3, a, sharp_profile(9)), n_max=8)
+    rep = gelfand_bound(BakerMap(27, 3, a, sharp_profile(9)), n_max=8)
     assert abs(rep.rho_upper - 1.0) < 1e-10
     for n, u in rep.powers:
         assert abs(u - 1.0) < 1e-9
@@ -115,7 +116,7 @@ def test_gelfand_unitary():
 
 def test_gelfand_contraction_and_schedule():
     a = Alphabet(3, (0, 2))
-    bmap = build_baker(243, 3, a, bump_profile(81))
+    bmap = BakerMap(243, 3, a, bump_profile(81))
     rep = gelfand_bound(bmap, n_max=64)
     assert rep.rho_upper < 1.0
     ns = [n for n, _ in rep.powers]
@@ -137,7 +138,7 @@ def test_gelfand_contraction_and_schedule():
 def test_gelfand_comparison_branch():
     # initial alphabet with size^2 <= M activates the Diophantine comparison
     a = Alphabet(4, (0, 1))
-    rep = gelfand_bound(build_baker(64, 4, a, bump_profile(16)), n_max=4)
+    rep = gelfand_bound(BakerMap(64, 4, a, bump_profile(16)), n_max=4)
     comp = rep.comparison
     assert comp is not None
     assert comp["alpha"] == {"numerator": 1, "denominator": 1}
@@ -145,21 +146,21 @@ def test_gelfand_comparison_branch():
     assert comp["q"] == 1 and comp["gamma"] == 0.0
     assert comp["residual_slot"] == pytest.approx(rep.rho_upper - comp["main_term"])
     # non-initial alphabet: no comparison defined
-    rep2 = gelfand_bound(build_baker(27, 3, Alphabet(3, (0, 2)),
+    rep2 = gelfand_bound(BakerMap(27, 3, Alphabet(3, (0, 2)),
                                      bump_profile(9)), n_max=2)
     assert rep2.comparison is None
 
 
 def test_gelfand_power_iteration_method():
     a = Alphabet(3, (0, 1, 2))
-    rep = gelfand_bound(build_baker(27, 3, a, sharp_profile(9)), n_max=2,
+    rep = gelfand_bound(BakerMap(27, 3, a, sharp_profile(9)), n_max=2,
                         method="power-iteration")
     assert abs(rep.rho_upper - 1.0) < 1e-10
 
 
 def test_gelfand_validation():
     a = Alphabet(3, (0, 2))
-    bmap = build_baker(27, 3, a, bump_profile(9))
+    bmap = BakerMap(27, 3, a, bump_profile(9))
     with pytest.raises(ValueError):
         gelfand_bound(bmap, n_max=0)
     with pytest.raises(ValueError):
@@ -168,8 +169,8 @@ def test_gelfand_validation():
 
 def test_gelfand_report_json():
     a = Alphabet(3, (0, 2))
-    rep = gelfand_bound(build_baker(27, 3, a, bump_profile(9)), n_max=2)
-    d = rep.to_json()
+    rep = gelfand_bound(BakerMap(27, 3, a, bump_profile(9)), n_max=2)
+    d = sanitize(rep)
     assert set(d) == {"N", "M", "powers", "rho_upper", "diagnostics", "comparison"}
     assert d["powers"] == [[n, u] for n, u in rep.powers]
 
@@ -178,7 +179,7 @@ def test_gelfand_report_json():
 def test_unconverged_level_cannot_lower_rho_upper(monkeypatch, failing_n):
     # an unconverged level whose Ritz value sits far below ||B^n|| must fall
     # back to the submultiplicative bound instead of entering rho_upper
-    bmap = build_baker(81, 3, Alphabet(3, (0, 2)), bump_profile(27))
+    bmap = BakerMap(81, 3, Alphabet(3, (0, 2)), bump_profile(27))
     levels = [1, 2, 4]
     real_engine = fup.baker.lanczos_top
 

@@ -1,12 +1,14 @@
 """End-to-end CLI behavior: subcommands, exit codes, files, determinism."""
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 import fup.cli
+import fup.sweep
 from fup.cli import main
-from fup.sweep import default_threads
+from fup.sweep import SweepSpec, default_threads, run_sweep
 
 
 def _run_json(capsys, argv):
@@ -44,6 +46,20 @@ def test_beta_subcommand(capsys):
     d2 = _run_json(capsys, ["beta", "--M", "4", "--alphabet", "initial:2",
                             "--k", "2", "--alpha", "3/2"])
     assert d2["exponents"]["N"] == 24
+
+
+def test_beta_checks_the_dimension_sandwich(monkeypatch, capsys):
+    # the subcommand runs the sweep's check, so an exponent outside
+    # [lower_theory, upper_theory] fails the same way in both
+    real_beta_k = fup.sweep.beta_k
+
+    def outside(cert, alphabet, k):
+        rep = real_beta_k(cert, alphabet, k)
+        return dataclasses.replace(rep, beta_k=rep.upper_theory + 0.1)
+
+    monkeypatch.setattr(fup.sweep, "beta_k", outside)
+    assert main(["beta", "--M", "3", "--alphabet", "0,2", "--k", "2"]) == 1
+    assert "computation failed" in capsys.readouterr().err
 
 
 def test_theorem1_subcommand(tmp_path, capsys):
@@ -90,6 +106,16 @@ def test_baker_custom_cutoff(tmp_path, capsys):
     rc = main(["baker", "--N", "4", "--M", "2", "--alphabet", "0,1",
                "--cutoff", str(bad)])
     assert rc == 2
+
+    # a sweep point takes the same CSV path; a bad file is a skipped point
+    record = run_sweep(SweepSpec("baker", {"N": 27, "M": 3, "alphabet": "0,1,2",
+                                           "cutoff": [str(path), str(bad)],
+                                           "nmax": 2},
+                                 out_dir=str(tmp_path / "sweep")))
+    ok, skipped = record.rows
+    assert ok["status"] == "ok" and ok["cutoff"] == "custom"
+    assert ok["rho_upper"] == d["rho_upper"]
+    assert skipped["status"] == "skipped"
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -10,6 +10,7 @@ from fup.cantor import Alphabet, CapacityError, build_alphabet_initial, cantor_e
 from fup.diophantine import (best_rational, canonical_dilation, f1_abs,
                              f1_eval, f1_sup, fk_eval, g_bound, sk_estimate,
                              theorem2_report)
+from fup.serialize import sanitize
 
 RNG = np.random.default_rng(31)
 
@@ -233,7 +234,7 @@ def test_theorem2_report_structure():
     assert rep.bounds.S_k_grid <= rep.bounds.G_upper**2 + 1e-9
     assert rep.C_fit > 0
     assert rep.prop_rhs == pytest.approx(12 * 4 / 16 * (4 / 3 + math.log(3)))
-    d = rep.to_json()
+    d = sanitize(rep)
     assert d["alpha"] == {"numerator": 5, "denominator": 1}
     assert set(d) >= {"norm", "exponents", "approx", "bounds", "prop_rhs", "C_fit"}
 

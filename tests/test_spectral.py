@@ -13,6 +13,7 @@ import fup.spectral
 from conftest import dft_matrix
 from fup.cantor import Alphabet, CapacityError, cantor_elements, dilate
 from fup.jacobi import jacobi_svd
+from fup.serialize import sanitize
 from fup.spectral import (ConvergenceError, _pruned_gram_apply, beta_dilated,
                           beta_k, dft_apply, dft_submatrix, lanczos_top,
                           masked_gram_apply, masked_norm, power_top,
@@ -224,7 +225,7 @@ def test_masked_norm_validation():
 
 def test_norm_certificate_json():
     cert = masked_norm([0, 2], [0, 2], 3, seed=7)
-    d = cert.to_json()
+    d = sanitize(cert)
     assert set(d) == {"sigma_max", "method", "iterations", "residual", "seed"}
     assert d["seed"] == 7
 
@@ -262,7 +263,7 @@ def test_beta_k_report():
     assert rep.lower_theory == pytest.approx(max(0.0, 0.5 - a.delta))
     assert rep.upper_theory == pytest.approx(0.5 - a.delta / 2)
     assert rep.lower_theory - 1e-12 <= rep.beta_k <= rep.upper_theory + 1e-12
-    assert set(rep.to_json()) == {"M", "k", "N", "delta", "sigma_max", "beta_k",
+    assert set(sanitize(rep)) == {"M", "k", "N", "delta", "sigma_max", "beta_k",
                                   "lower_theory", "upper_theory"}
 
 
