@@ -5,10 +5,11 @@ construction and masked norms, theorem1 / theorem2 / dirichlet for the
 certified bound pipelines, baker for spectral-radius reports, sweep for
 parameter grids, and plot for SVG rendering of sweep results. All emit
 canonical JSON (to stdout or --out). The sweepable subcommands (beta,
-theorem1, theorem2, dirichlet, baker) run the sweep's runner for their
-command, so a flag left unset takes the runner's default. Exit codes: 0
-success, 1 a certified invariant failed or an iteration did not converge,
-2 bad parameters or out of memory.
+theorem1, theorem2, dirichlet, baker) take their flags from the signature of
+the sweep's runner for their command and call it, so a flag left unset takes
+the runner's default; norm and cantor take beta's flags (cantor without
+--method). Exit codes: 0 success, 1 a certified invariant failed or an
+iteration did not converge, 2 bad parameters or out of memory.
 """
 from __future__ import annotations
 
@@ -18,23 +19,14 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .cantor import CapacityError, cantor_elements, dilate
-from .spectral import ConvergenceError, masked_norm
+from .cantor import CapacityError
+from .spectral import DEFAULT_SEED, DEFAULT_TOL, ConvergenceError, masked_norm
 from .serialize import dumps_canonical
 from .svgplot import emit_plot
-from .sweep import _RUNNERS, SweepSpec, parse_alpha, parse_alphabet_spec, run_sweep
+from .sweep import _RUNNERS, REQUIRED, SweepSpec, build_masks, parameters, run_sweep
 
 ELEMENT_PRINT_CAP = 4096
-# parsed flags that are not parameters of the operation itself
-NON_PARAMS = {"command", "fn", "seed", "tol", "threads", "out", "svg"}
-
-
-def _tol(args) -> float:
-    return 1e-10 if args.tol is None else args.tol
-
-
-def _seed(args) -> int:
-    return 0 if args.seed is None else args.seed
+SOLVER_FLAGS = ("tol", "seed")
 
 
 def _emit(obj, args) -> None:
@@ -45,24 +37,27 @@ def _emit(obj, args) -> None:
         print(text)
 
 
-def _build_masks(args):
-    alphabet = parse_alphabet_spec(args.M, args.alphabet)
-    cantor = cantor_elements(alphabet, args.k)
-    alpha = parse_alpha(args.alpha) if args.alpha else Fraction(1)
-    if alpha == 1:
-        return alphabet, cantor, None, alphabet.M**args.k, alpha
-    dil = dilate(cantor, alpha)
-    return alphabet, cantor, dil, dil.N, alpha
+def _given(args, keys) -> dict:
+    return {key: getattr(args, key) for key in keys if key in args}
+
+
+def _params(args) -> dict:
+    """The operation's parameters: each flag's value, or its runner default."""
+    return _given(args, parameters(args.op))
+
+
+def _solver(args) -> dict:
+    return {"tol": DEFAULT_TOL, "seed": DEFAULT_SEED, **_given(args, SOLVER_FLAGS)}
 
 
 def cmd_cantor(args) -> int:
-    alphabet, cantor, dil, N, alpha = _build_masks(args)
-    elements = dil.elements if dil is not None else cantor.elements
+    alphabet, k, alpha, mask, N = build_masks(**_params(args))
+    elements = mask.elements
     payload = {
         "M": alphabet.M,
         "alphabet": list(alphabet.letters),
         "delta": alphabet.delta,
-        "k": args.k,
+        "k": k,
         "alpha": alpha,
         "N": N,
         "size": len(elements),
@@ -74,22 +69,19 @@ def cmd_cantor(args) -> int:
 
 
 def cmd_norm(args) -> int:
-    alphabet, cantor, dil, N, alpha = _build_masks(args)
-    mask = dil if dil is not None else cantor
-    cert = masked_norm(mask, mask, N, tol=_tol(args), seed=_seed(args),
-                       method=args.method or "lanczos")
-    _emit({"M": alphabet.M, "k": args.k, "N": N, "alpha": alpha,
+    params = _params(args)
+    method = params.pop("method")
+    alphabet, k, alpha, mask, N = build_masks(**params)
+    cert = masked_norm(mask, mask, N, method=method, **_solver(args))
+    _emit({"M": alphabet.M, "k": k, "N": N, "alpha": alpha,
            "size": len(mask.elements), "norm": cert}, args)
     return 0
 
 
 def _run(args):
-    """(row, report) of the sweep runner for this subcommand, given the
-    flags that were set."""
+    """(row, report) of the sweep runner for this subcommand."""
     runner, _ = _RUNNERS[args.command]
-    params = {key: value for key, value in vars(args).items()
-              if value is not None and key not in NON_PARAMS}
-    return runner(params, _tol(args), _seed(args))
+    return runner(**_params(args), **_solver(args))
 
 
 def cmd_report(args) -> int:
@@ -104,9 +96,10 @@ def cmd_beta(args) -> int:
 
 
 def cmd_theorem1(args) -> int:
-    cmd_report(args)
+    row, report = _run(args)
+    _emit(report, args)
     if args.svg:
-        emit_plot([{"status": "ok", "M": args.M, "delta": args.delta}],
+        emit_plot([{"status": "ok", "M": row["M"], "delta": row["delta"]}],
                   "profile", args.svg)
     return 0
 
@@ -120,16 +113,11 @@ def cmd_dirichlet(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    spec = SweepSpec.from_json(config)
     # flags win over the config file
+    config.update(_given(args, SOLVER_FLAGS + ("threads",)))
     if args.out:
-        spec.out_dir = args.out
-    if args.threads is not None:
-        spec.threads = args.threads
-    if args.tol is not None:
-        spec.tol = args.tol
-    if args.seed is not None:
-        spec.seed = args.seed
+        config["out_dir"] = args.out
+    spec = SweepSpec.from_json(config)
     record = run_sweep(spec)
     print(dumps_canonical({"spec_hash": record.spec_hash,
                            "ok": record.n_ok, "skipped": record.n_skipped,
@@ -150,79 +138,51 @@ def cmd_plot(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="RNG seed for iterative solvers (default 0)")
-    common.add_argument("--tol", type=float, default=None,
-                        help="solver tolerance (default 1e-10)")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker threads for sweeps (default FUP_THREADS or 1)")
     common.add_argument("--out", type=str, default=None,
                         help="output file (JSON) or directory (sweep)")
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                        help=f"RNG seed for iterative solvers (default {DEFAULT_SEED})")
+    solver.add_argument("--tol", type=float, default=argparse.SUPPRESS,
+                        help=f"solver tolerance (default {DEFAULT_TOL})")
 
     parser = argparse.ArgumentParser(
         prog="fup",
         description="Finite uncertainty principles for Cantor-set masked DFTs")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text):
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        p.set_defaults(fn=fn)
+    def add(name, fn, help_text, parents=(solver,), op=None, without=()):
+        """Subcommand `name`, with a flag for each parameter of the sweep
+        operation `op` but those in `without`."""
+        p = sub.add_parser(name, parents=[common, *parents], help=help_text)
+        p.set_defaults(fn=fn, op=op)
+        for key, default in (parameters(op) if op else {}).items():
+            if key in without:
+                continue
+            flag = "--" + key.replace("_", "-")
+            if default is REQUIRED:
+                p.add_argument(flag, required=True)
+            else:
+                p.add_argument(flag, default=default, help="default: %(default)s")
         return p
 
-    p = add("cantor", cmd_cantor, "construct (and optionally dilate) a Cantor set")
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--alphabet", required=True,
-                   help='letters "0,2" or "interval:0.75" or "initial:4"')
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--alpha", default=None, help='dilation "p/r" (default 1)')
-
-    for name, fn, txt in [("norm", cmd_norm, "masked submatrix norm certificate"),
-                          ("beta", cmd_beta, "finite-k uncertainty exponent")]:
-        p = add(name, fn, txt)
-        p.add_argument("--M", type=int, required=True)
-        p.add_argument("--alphabet", required=True)
-        p.add_argument("--k", type=int, required=True)
-        p.add_argument("--alpha", default=None)
-        p.add_argument("--method",
-                       choices=["lanczos", "power-iteration", "dense-svd"])
-
-    p = add("theorem1", cmd_theorem1, "certified lower-bound pipeline")
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--grid", type=int)
-    p.add_argument("--ysamples", type=int)
-    p.add_argument("--method", choices=["lanczos", "power-iteration", "dense-svd"])
+    add("cantor", cmd_cantor, "construct (and optionally dilate) a Cantor set",
+        parents=(), op="beta", without=("method",))
+    add("norm", cmd_norm, "masked submatrix norm certificate", op="beta")
+    add("beta", cmd_beta, "finite-k uncertainty exponent", op="beta")
+    p = add("theorem1", cmd_theorem1, "certified lower-bound pipeline", op="theorem1")
     p.add_argument("--svg", default=None, help="also write a profile SVG here")
-
-    p = add("theorem2", cmd_report, "dilated upper-bound comparison")
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--Mdelta", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--alpha", required=True, help='dilation "p/r"')
-    p.add_argument("--eps", type=float)
-    p.add_argument("--outer-grid", dest="outer_grid", type=int)
-    p.add_argument("--method", choices=["lanczos", "power-iteration", "dense-svd"])
-
-    p = add("dirichlet", cmd_dirichlet, "best rational approximation of alpha/M")
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--Mdelta", type=int, required=True)
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--regime", choices=["strict", "nonstrict"])
-
-    p = add("baker", cmd_report, "open baker's map spectral-radius report")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--alphabet", required=True)
-    p.add_argument("--cutoff", help="bump | sharp | path to CSV samples")
-    p.add_argument("--nmax", type=int)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--method", choices=["lanczos", "power-iteration"])
+    add("theorem2", cmd_report, "dilated upper-bound comparison", op="theorem2")
+    add("dirichlet", cmd_dirichlet, "best rational approximation of alpha/M",
+        parents=(), op="dirichlet")
+    add("baker", cmd_report, "open baker's map spectral-radius report", op="baker")
 
     p = add("sweep", cmd_sweep, "run a parameter grid from a JSON config")
     p.add_argument("--config", required=True)
+    p.add_argument("--threads", type=int, default=argparse.SUPPRESS,
+                   help="worker threads (default FUP_THREADS or 1)")
 
-    p = add("plot", cmd_plot, "render sweep results to SVG")
+    p = add("plot", cmd_plot, "render sweep results to SVG", parents=())
     p.add_argument("--kind", required=True,
                    choices=["beta-vs-k", "gap-vs-N", "profile"])
     p.add_argument("--input", required=True, help="results.jsonl path")

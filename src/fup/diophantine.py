@@ -25,16 +25,11 @@ import numpy as np
 
 from .cantor import (CantorSet, CapacityError, build_alphabet_initial,
                      cantor_elements, dilate)
-from .spectral import FupExponentReport, NormCertificate, beta_dilated, masked_norm
+from .spectral import (FupExponentReport, NormCertificate, beta_dilated,
+                       masked_norm, shaped_like)
 
 SK_MAX_K = 4
 SK_MAX_ELEMENTS = 4096
-
-
-def _shape(out: np.ndarray, x):
-    if np.ndim(x) == 0:
-        return out[()] if out.ndim == 0 else out.reshape(())[()]
-    return out.reshape(np.shape(x))
 
 
 def canonical_dilation(N: int, M: int) -> tuple[Fraction, int]:
@@ -128,33 +123,38 @@ def best_rational(alpha, M: int, Mdelta: int, regime: str = "strict") -> Rationa
 # exponential sums
 
 
-def f1_eval(Mdelta: int, x):
-    """F_1(x) = Mdelta^{-1} sum_{j < Mdelta} e^{-2 pi i j x}.
+def _dirichlet_ratio(Mdelta: int, x,
+                     magnitude: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(y, r) at y = x mod 1: r = sin(pi Mdelta y) / (Mdelta sin(pi y)), or
+    |r| with magnitude, taken as 1 at integers.
 
-    Dirichlet-kernel closed form; equals 1 exactly at integers.
+    |r| is taken before np.where: taken after it, the peak memory of
+    g_bound's chunked loop grows by about one chunk.
     """
-    if Mdelta < 2:
-        raise ValueError("Mdelta must be >= 2")
-    y = np.mod(np.atleast_1d(np.asarray(x, dtype=np.float64)).ravel(), 1.0)
-    num = np.sin(np.pi * Mdelta * y)
-    den = np.sin(np.pi * y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mag = num / (Mdelta * den)
-    mag = np.where(den == 0.0, 1.0, mag)
-    out = np.exp(-1j * np.pi * (Mdelta - 1) * y) * mag
-    return _shape(out, x)
-
-
-def f1_abs(Mdelta: int, x):
-    """|F_1(x)|, same closed form without the phase."""
     if Mdelta < 2:
         raise ValueError("Mdelta must be >= 2")
     y = np.mod(np.asarray(x, dtype=np.float64), 1.0)
     num = np.sin(np.pi * Mdelta * y)
     den = np.sin(np.pi * y)
     with np.errstate(divide="ignore", invalid="ignore"):
-        mag = np.abs(num) / (Mdelta * np.abs(den))
-    return np.where(den == 0.0, 1.0, mag)
+        ratio = num / (Mdelta * den)
+    if magnitude:
+        ratio = np.abs(ratio)
+    return y, np.where(den == 0.0, 1.0, ratio)
+
+
+def f1_eval(Mdelta: int, x):
+    """F_1(x) = Mdelta^{-1} sum_{j < Mdelta} e^{-2 pi i j x}.
+
+    Dirichlet-kernel closed form; equals 1 exactly at integers.
+    """
+    y, ratio = _dirichlet_ratio(Mdelta, x, magnitude=False)
+    return shaped_like(np.exp(-1j * np.pi * (Mdelta - 1) * y) * ratio, x)
+
+
+def f1_abs(Mdelta: int, x):
+    """|F_1(x)|, the same closed form without the phase."""
+    return _dirichlet_ratio(Mdelta, x, magnitude=True)[1]
 
 
 def f1_sup(Mdelta: int, lo: float, hi: float, grid: int = 64) -> tuple[float, float]:
@@ -200,7 +200,7 @@ def fk_eval(cantor: CantorSet, x):
     chunk = max(1, 2**20 // elems.size)
     for s in range(0, xs.size, chunk):
         out[s:s + chunk] = np.exp(-2j * np.pi * np.outer(xs[s:s + chunk], elems)).mean(axis=1)
-    return _shape(out, x)
+    return shaped_like(out, x)
 
 
 @dataclass
@@ -345,19 +345,14 @@ def theorem2_report(M: int, Mdelta: int, k: int, alpha, eps: float = 0.0,
     if Mdelta * Mdelta > M:
         raise ValueError("initial alphabets require Mdelta^2 <= M (delta <= 1/2)")
     alpha = Fraction(alpha)
-    if not 1 <= alpha < M:
-        raise ValueError("alpha must satisfy 1 <= alpha < M")
-    Nf = alpha * M**k
-    if Nf.denominator != 1:
-        raise ValueError(f"alpha M^k = {Nf} is not an integer")
-    N = int(Nf)
-    if N % M:
-        raise ValueError(f"N = {N} is not a multiple of M")
-    if N > 2**24:
-        raise CapacityError(f"N = {N} exceeds the FFT budget 2^24")
+    # the FFT budget is checked before C_k is built; dilate checks the rest
+    # (1 <= alpha < M, M | N), so an alpha below 1 counts as 1 here
+    if max(alpha, 1) * M**k > 2**24:
+        raise CapacityError(f"N = {alpha * M**k} exceeds the FFT budget 2^24")
     alphabet = build_alphabet_initial(M, Mdelta)
     cantor = cantor_elements(alphabet, k)
     dil = dilate(cantor, alpha)
+    N = dil.N
     cert = masked_norm(dil, dil, N, tol=tol, seed=seed, method=method)
     rep = beta_dilated(cert, dil)
     ra = best_rational(alpha, M, Mdelta)

@@ -37,6 +37,9 @@ from .cantor import Alphabet, CantorSet, CapacityError, DilatedCantorSet
 from .jacobi import jacobi_svd
 
 MAX_POWER_ITERATIONS = 100_000
+# the solver settings a caller leaves unset
+DEFAULT_TOL = 1e-10
+DEFAULT_SEED = 0
 DENSE_ENTRY_BUDGET = 2**24
 
 
@@ -271,6 +274,12 @@ def lanczos_top(apply, dim: int, tol: float = 1e-10, seed: int = 0,
     )
 
 
+def shaped_like(out: np.ndarray, x):
+    """out, computed on the flattened x, in the shape of x (a numpy scalar
+    when x is a scalar)."""
+    return out.reshape(np.shape(x))[()]
+
+
 @dataclass
 class NormCertificate:
     """Largest singular value of a masked DFT submatrix, with provenance.
@@ -285,8 +294,8 @@ class NormCertificate:
     seed: int
 
 
-def masked_norm(X, Y, N: int, tol: float = 1e-10, seed: int = 0,
-                method: str = "lanczos",
+def masked_norm(X, Y, N: int, tol: float = DEFAULT_TOL,
+                seed: int = DEFAULT_SEED, method: str = "lanczos",
                 max_iterations: int = MAX_POWER_ITERATIONS) -> NormCertificate:
     """Certificate for |1_X F_N 1_Y| = top singular value of the submatrix.
 

@@ -3,7 +3,10 @@
 _RUNNERS is the one implementation of each sweepable operation (beta,
 theorem1, theorem2, dirichlet, baker): it parses the parameters, applies the
 defaults and checks, and returns a flat summary row plus the full report.
-The CLI subcommands of the same names call these runners too.
+A runner's arguments before `*` are the operation's parameters, and its
+signature is their one declaration: one without a default is required. The
+sweep checks grid keys against it, and the CLI subcommands of the same names
+take their flags from it and call these runners too.
 
 A sweep expands a parameter grid in a fixed order, runs each point in a
 thread pool (points are pure functions of their parameters and the seed),
@@ -20,6 +23,7 @@ as failed and make the sweep exit nonzero, but never abort the other points.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import itertools
 import os
 import platform
@@ -36,12 +40,14 @@ from .cantor import (Alphabet, CapacityError, build_alphabet_initial,
                      build_alphabet_interval, cantor_elements, dilate,
                      parse_rational)
 from .diophantine import best_rational, theorem2_report
-from .spectral import ConvergenceError, beta_dilated, beta_k, masked_norm
+from .spectral import (DEFAULT_SEED, DEFAULT_TOL, ConvergenceError, beta_dilated,
+                       beta_k, masked_norm)
 from .testfn import theorem1_certificate
 from . import __version__ as _pkg_version
 from .serialize import dumps_canonical, sanitize, write_csv, write_json, write_jsonl
 
 SANDWICH_SLACK = 1e-9
+REQUIRED = inspect.Parameter.empty
 
 
 def parse_alpha(text) -> Fraction:
@@ -71,8 +77,8 @@ class SweepSpec:
 
     command: str
     grid: dict
-    tol: float = 1e-10
-    seed: int = 0
+    tol: float = DEFAULT_TOL
+    seed: int = DEFAULT_SEED
     out_dir: str = "."
     threads: int | None = None
 
@@ -85,7 +91,8 @@ class SweepSpec:
     @classmethod
     def from_json(cls, d: dict) -> "SweepSpec":
         return cls(command=d["command"], grid=dict(d.get("grid", {})),
-                   tol=float(d.get("tol", 1e-10)), seed=int(d.get("seed", 0)),
+                   tol=float(d.get("tol", DEFAULT_TOL)),
+                   seed=int(d.get("seed", DEFAULT_SEED)),
                    out_dir=str(d.get("out_dir", ".")),
                    threads=d.get("threads"))
 
@@ -115,25 +122,40 @@ def _expand(grid: dict) -> list[dict]:
 # --- per-command point runners; each returns (flat_row, detail) -------------
 
 
-def _point_beta(p: dict, tol: float, seed: int):
-    M, k = int(p["M"]), int(p["k"])
-    alphabet = parse_alphabet_spec(M, p["alphabet"])
-    method = str(p.get("method", "lanczos"))
-    alpha = parse_alpha(p["alpha"]) if "alpha" in p else Fraction(1)
-    cantor = cantor_elements(alphabet, k)
+def _integer(name: str, value) -> int:
+    """value as an int; a non-integral value is a bad parameter."""
+    try:
+        exact = Fraction(value)
+    except (TypeError, ValueError):
+        exact = None
+    if exact is None or exact.denominator != 1:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(exact)
+
+
+def build_masks(M, alphabet, k, alpha):
+    """(alphabet, k, alpha, mask, N): C_k in Z_{M^k}, or its dilation by
+    alpha in Z_N, N = alpha M^k, unless alpha = 1."""
+    M, k = _integer("M", M), _integer("k", k)
+    letters = parse_alphabet_spec(M, alphabet)
+    alpha = parse_alpha(alpha)
+    cantor = cantor_elements(letters, k)
     if alpha == 1:
-        cert = masked_norm(cantor, cantor, M**k, tol=tol, seed=seed, method=method)
-        rep = beta_k(cert, alphabet, k)
-    else:
-        dil = dilate(cantor, alpha)
-        cert = masked_norm(dil, dil, dil.N, tol=tol, seed=seed, method=method)
-        rep = beta_dilated(cert, dil)
+        return letters, k, alpha, cantor, M**k
+    dil = dilate(cantor, alpha)
+    return letters, k, alpha, dil, dil.N
+
+
+def _point_beta(M, alphabet, k, alpha=1, method="lanczos", *, tol, seed):
+    letters, k, alpha, mask, N = build_masks(M, alphabet, k, alpha)
+    cert = masked_norm(mask, mask, N, tol=tol, seed=seed, method=method)
+    rep = beta_k(cert, letters, k) if alpha == 1 else beta_dilated(cert, mask)
     if not (rep.lower_theory - SANDWICH_SLACK <= rep.beta_k
             <= rep.upper_theory + SANDWICH_SLACK):
         raise ArithmeticError(
             f"exponent {rep.beta_k} violates the sandwich "
             f"[{rep.lower_theory}, {rep.upper_theory}]")
-    row = {"M": M, "alphabet": str(p["alphabet"]), "k": k, "N": rep.N,
+    row = {"M": letters.M, "alphabet": str(alphabet), "k": k, "N": rep.N,
            "delta": rep.delta, "alpha": str(alpha), "sigma": cert.sigma_max,
            "beta_k": rep.beta_k, "lower_theory": rep.lower_theory,
            "upper_theory": rep.upper_theory, "method": cert.method,
@@ -145,13 +167,12 @@ _BETA_COLS = ["M", "alphabet", "k", "N", "delta", "alpha", "sigma", "beta_k",
               "lower_theory", "upper_theory", "method", "iterations", "residual"]
 
 
-def _point_theorem1(p: dict, tol: float, seed: int):
-    M, k = int(p["M"]), int(p["k"])
-    delta = float(p["delta"])
+def _point_theorem1(M, delta, k, grid=100_000, ysamples=20_001,
+                    method="lanczos", *, tol, seed):
+    M, k, delta = _integer("M", M), _integer("k", k), float(delta)
     rep = theorem1_certificate(
-        M, delta, k, grid_points=int(p.get("grid", 100_000)), tol=tol,
-        seed=seed, method=str(p.get("method", "lanczos")),
-        y_samples=int(p.get("ysamples", 20_001)))
+        M, delta, k, grid_points=_integer("grid", grid), tol=tol, seed=seed,
+        method=method, y_samples=_integer("ysamples", ysamples))
     ex = rep.exponents
     row = {"M": M, "delta": delta, "k": k, "N": ex.N, "sigma": ex.sigma_max,
            "beta_k": ex.beta_k, "z_certified_lower": rep.z.z_certified_lower,
@@ -165,12 +186,12 @@ _T1_COLS = ["M", "delta", "k", "N", "sigma", "beta_k", "z_certified_lower",
             "beta_upper_certified", "beta_bound_theory", "beta_bound_ok", "binding"]
 
 
-def _point_theorem2(p: dict, tol: float, seed: int):
+def _point_theorem2(M, Mdelta, k, alpha, eps=0.0, outer_grid=200_000,
+                    method="lanczos", *, tol, seed):
     rep = theorem2_report(
-        int(p["M"]), int(p["Mdelta"]), int(p["k"]), parse_alpha(p["alpha"]),
-        eps=float(p.get("eps", 0.0)), tol=tol, seed=seed,
-        method=str(p.get("method", "lanczos")),
-        outer_grid=int(p.get("outer_grid", 200_000)))
+        _integer("M", M), _integer("Mdelta", Mdelta), _integer("k", k),
+        parse_alpha(alpha), eps=float(eps), tol=tol, seed=seed, method=method,
+        outer_grid=_integer("outer_grid", outer_grid))
     row = {"M": rep.M, "Mdelta": rep.Mdelta, "k": rep.k, "alpha": str(rep.alpha),
            "N": rep.N, "q": rep.approx.q, "gamma": rep.gamma,
            "sigma": rep.norm.sigma_max, "beta_kN": rep.exponents.beta_k,
@@ -183,10 +204,11 @@ _T2_COLS = ["M", "Mdelta", "k", "alpha", "N", "q", "gamma", "sigma", "beta_kN",
             "target_exponent", "eps_emp", "G_upper", "C_fit"]
 
 
-def _point_dirichlet(p: dict, tol: float, seed: int):
-    M, Mdelta = int(p["M"]), int(p["Mdelta"])
-    alpha = parse_alpha(p["alpha"])
-    ra = best_rational(alpha, M, Mdelta, regime=str(p.get("regime", "strict")))
+def _point_dirichlet(M, Mdelta, alpha, regime="strict", **solver):
+    """Runs no solver, so ignores tol and seed."""
+    M, Mdelta = _integer("M", M), _integer("Mdelta", Mdelta)
+    alpha = parse_alpha(alpha)
+    ra = best_rational(alpha, M, Mdelta, regime=regime)
     row = {"M": M, "Mdelta": Mdelta, "alpha": str(alpha),
            "b": ra.b, "q": ra.q, "gamma": ra.gamma,
            "error": f"{ra.error.numerator}/{ra.error.denominator}",
@@ -198,21 +220,21 @@ _DIR_COLS = ["M", "Mdelta", "alpha", "b", "q", "gamma", "error",
              "strict_ok", "nonstrict_ok"]
 
 
-def _point_baker(p: dict, tol: float, seed: int):
-    N, M = int(p["N"]), int(p["M"])
-    alphabet = parse_alphabet_spec(M, p["alphabet"])
-    cutoff = make_cutoff(str(p.get("cutoff", "bump")), N // M)
-    n_max = int(p.get("nmax", 64))
-    rep = gelfand_bound(BakerMap(N, M, alphabet, cutoff), n_max=n_max, tol=tol,
-                        seed=seed, eps=float(p.get("eps", 0.0)),
-                        method=str(p.get("method", "lanczos")))
+def _point_baker(N, M, alphabet, cutoff="bump", nmax=64, eps=0.0,
+                 method="lanczos", *, tol, seed):
+    N, M = _integer("N", N), _integer("M", M)
+    letters = parse_alphabet_spec(M, alphabet)
+    profile = make_cutoff(str(cutoff), N // M)
+    n_max = _integer("nmax", nmax)
+    rep = gelfand_bound(BakerMap(N, M, letters, profile), n_max=n_max, tol=tol,
+                        seed=seed, eps=float(eps), method=method)
     comp = rep.comparison or {}
     alpha_json = comp.get("alpha")
     alpha_str = None
     if alpha_json is not None:
         alpha_str = f"{alpha_json['numerator']}/{alpha_json['denominator']}"
-    row = {"N": N, "M": M, "alphabet": str(p["alphabet"]),
-           "cutoff": cutoff.kind, "nmax": n_max,
+    row = {"N": N, "M": M, "alphabet": str(alphabet),
+           "cutoff": profile.kind, "nmax": n_max,
            "alpha": alpha_str, "q": comp.get("q"), "gamma": comp.get("gamma"),
            "rho_upper": rep.rho_upper,
            "theorem3_bound": comp.get("main_term")}
@@ -231,6 +253,14 @@ _RUNNERS = {
 }
 
 
+def parameters(command: str) -> dict:
+    """Name -> default of the operation's parameters, in order: the
+    arguments its runner declares before `*` (REQUIRED where it has none)."""
+    runner, _ = _RUNNERS[command]
+    return {p.name: p.default for p in inspect.signature(runner).parameters.values()
+            if p.kind is p.POSITIONAL_OR_KEYWORD}
+
+
 def default_threads() -> int:
     env = os.environ.get("FUP_THREADS", "").strip()
     if env:
@@ -247,6 +277,14 @@ def run_sweep(spec: SweepSpec) -> RunRecord:
     if spec.command not in _RUNNERS:
         raise ValueError(f"command {spec.command!r} is not sweepable; "
                          f"choose from {sorted(_RUNNERS)}")
+    params = parameters(spec.command)
+    for key in spec.grid:
+        if key not in params:
+            raise ValueError(f"unknown {spec.command} grid key {key!r}; "
+                             f"the keys are {', '.join(params)}")
+    for key, default in params.items():
+        if default is REQUIRED and key not in spec.grid:
+            raise ValueError(f"{spec.command} grid lacks the required key {key!r}")
     runner, cols = _RUNNERS[spec.command]
     points = _expand(spec.grid)
     spec_hash = hashlib.sha256(dumps_canonical(spec.to_json()).encode()).hexdigest()
@@ -254,7 +292,7 @@ def run_sweep(spec: SweepSpec) -> RunRecord:
 
     def run_point(p):
         try:
-            row, detail = runner(p, spec.tol, spec.seed)
+            row, detail = runner(**p, tol=spec.tol, seed=spec.seed)
             return {"status": "ok", "error": None, "point": p, **row,
                     "detail": sanitize(detail)}
         except (ValueError, CapacityError) as err:

@@ -24,7 +24,8 @@ import numpy as np
 
 from .cantor import (Alphabet, CantorSet, CapacityError,
                      build_alphabet_interval, cantor_elements)
-from .spectral import FupExponentReport, NormCertificate, beta_k, masked_norm
+from .spectral import (FupExponentReport, NormCertificate, beta_k, masked_norm,
+                       shaped_like)
 
 DENSE_CHAIN_BUDGET = 2**24
 PRODUCT_CHECK_BUDGET = 2**20
@@ -96,12 +97,6 @@ def gaussian_seed(alphabet: Alphabet) -> SeedFunction:
     return SeedFunction(alphabet, vals)
 
 
-def _match_shape(out: np.ndarray, x):
-    if np.ndim(x) == 0:
-        return complex(out[0])
-    return out.reshape(np.shape(x))
-
-
 def symbol_eval(seed: SeedFunction, x, chunk: int = 8192):
     """G_f(x) = M^{-1/2} sum_l f(l) e^{-2 pi i l x}; 1-periodic, finite sum.
 
@@ -115,7 +110,7 @@ def symbol_eval(seed: SeedFunction, x, chunk: int = 8192):
     for s in range(0, xs.size, chunk):
         xx = xs[s:s + chunk]
         out[s:s + chunk] = np.exp(-2j * np.pi * np.outer(xx, supp)) @ coef
-    return _match_shape(out, x)
+    return shaped_like(out, x)
 
 
 def band_masses(seed: SeedFunction, letters, y, chunk: int = 4096) -> np.ndarray:
@@ -282,7 +277,7 @@ def gaussian_symbol(M: int, x, radius: int | None = None):
     out = np.empty(xs.size, dtype=np.complex128)
     for s in range(0, xs.size, 4096):
         out[s:s + 4096] = np.exp(-2j * np.pi * np.outer(xs[s:s + 4096] - 0.5, ls)) @ w
-    return _match_shape(out, x)
+    return shaped_like(out, x)
 
 
 def gaussian_symbol_theta(M: int, x, terms: int | None = None):
@@ -299,7 +294,7 @@ def gaussian_symbol_theta(M: int, x, terms: int | None = None):
     ks = np.arange(-terms, terms + 1)
     t = (xs[:, None] - 0.5) + ks[None, :]
     out = np.exp(-np.pi * M * t**2 - 1j * np.pi * M * t).sum(axis=1) / math.sqrt(M)
-    return _match_shape(out, x)
+    return shaped_like(out, x)
 
 
 @dataclass

@@ -1,14 +1,19 @@
 """End-to-end CLI behavior: subcommands, exit codes, files, determinism."""
+import argparse
 import dataclasses
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fup.cli
 import fup.sweep
-from fup.cli import main
-from fup.sweep import SweepSpec, default_threads, run_sweep
+from fup.cli import build_parser, main
+from fup.sweep import REQUIRED, SweepSpec, default_threads, parameters, run_sweep
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _run_json(capsys, argv):
@@ -133,6 +138,89 @@ def test_exit_code_2_on_bad_parameters(capsys):
     assert main(["norm", "--M", "3", "--alphabet", "0,2", "--k", "1",
                  "--tol", "0"]) == 2
     capsys.readouterr()
+
+
+def _subparser(command):
+    action = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices[command]
+
+
+@pytest.mark.parametrize("command", sorted(fup.sweep._RUNNERS))
+def test_operation_flags_are_the_runner_parameters(command):
+    params = parameters(command)
+    actions = {a.dest: a for a in _subparser(command)._actions
+               if a.dest not in {"help", "out", "tol", "seed", "svg"}}
+    assert set(actions) == set(params)
+    for key, default in params.items():
+        assert actions[key].option_strings == ["--" + key.replace("_", "-")]
+        assert actions[key].required == (default is REQUIRED)
+        if default is not REQUIRED:
+            assert actions[key].default == default
+
+
+@pytest.mark.parametrize("argv", [
+    ["beta", "--M", "3", "--alphabet", "0,2", "--k", "1", "--threads", "4"],
+    ["cantor", "--M", "3", "--alphabet", "0,2", "--k", "1", "--tol", "0"],
+    ["dirichlet", "--M", "16", "--Mdelta", "4", "--alpha", "5", "--seed", "1"],
+    ["plot", "--kind", "beta-vs-k", "--input", "r.jsonl", "--out", "p.svg",
+     "--tol", "1e-8"],
+])
+def test_flags_that_would_be_ignored_are_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_integer_parameters_refuse_fractions(tmp_path, capsys):
+    assert main(["beta", "--M", "3", "--alphabet", "0,2", "--k", "2.7"]) == 2
+    assert "k must be an integer, got '2.7'" in capsys.readouterr().err
+    record = run_sweep(SweepSpec("beta", {"M": 3, "alphabet": "0,2", "k": [2.7, 2.0]},
+                                 out_dir=str(tmp_path)))
+    skipped, ok = record.rows
+    assert skipped["status"] == "skipped"
+    assert skipped["error"] == "k must be an integer, got 2.7"
+    assert ok["status"] == "ok" and ok["k"] == 2
+
+
+@pytest.mark.parametrize("grid, message", [
+    ({"M": 3, "k": 1}, "beta grid lacks the required key 'alphabet'"),
+    ({"M": 3, "alphabet": "0,2", "k": 1, "mehtod": "dense-svd"},
+     "unknown beta grid key 'mehtod'"),
+])
+def test_sweep_refuses_missing_and_unknown_grid_keys(tmp_path, capsys, grid, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "beta", "grid": grid}))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not (tmp_path / "o" / "results.jsonl").exists()
+
+
+def test_sweep_flags_win_over_the_config(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "dirichlet", "tol": 1e-6, "seed": 3,
+                               "threads": 2,
+                               "grid": {"M": 16, "Mdelta": 4, "alpha": 5}}))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--seed", "5"]) == 0
+    capsys.readouterr()
+    spec = json.loads((tmp_path / "o" / "run_meta.json").read_text())["spec"]
+    assert (spec["tol"], spec["seed"], spec["threads"]) == (1e-6, 5, 2)
+    assert spec["out_dir"] == str(tmp_path / "o")
+
+
+def test_readme_command_lines_parse():
+    # parse, without running, every `fup ...` line of the Command line section
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n")[1]
+    section = section.split("\n## ")[0]
+    lines = [line.split(" #")[0] for line in section.splitlines()
+             if line.startswith("fup ")]
+    assert lines
+    parser = build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert args.command == shlex.split(line)[1]
 
 
 def test_plot_requires_out():

@@ -1,5 +1,6 @@
 """Rational approximation, exponential-sum brackets, and the dilated pipeline."""
 import math
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -248,3 +249,13 @@ def test_theorem2_refusals():
         theorem2_report(16, 4, 1, Fraction(16))
     with pytest.raises(CapacityError):
         theorem2_report(16, 4, 7, Fraction(1))  # N = 16^7 > 2^24
+
+
+def test_theorem2_refuses_large_N_before_building_C_k():
+    # 5 * 16^12 > 2^24 while C_12 holds 4^12 = 2^24 elements; alpha = 1/2 is
+    # refused by dilate, but only after C_k, so the budget covers it too
+    for alpha in (Fraction(5), Fraction(1, 2)):
+        t0 = time.monotonic()
+        with pytest.raises(CapacityError):
+            theorem2_report(16, 4, 12, alpha)
+        assert time.monotonic() - t0 < 1.0
