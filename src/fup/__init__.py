@@ -6,9 +6,8 @@ and open quantum baker's maps.
 
 __version__ = "0.1.0"
 
-from .cantor import (Alphabet, CantorSet, CapacityError, DilatedCantorSet,
-                     build_alphabet_initial, build_alphabet_interval,
-                     cantor_elements, dilate, parse_rational)
+from .cantor import (Alphabet, CantorSet, CapacityError, build_alphabet_initial,
+                     build_alphabet_interval, cantor_elements, dilate)
 from .spectral import (ConvergenceError, FupExponentReport, NormCertificate,
                        beta_dilated, beta_k, dft_apply, dft_submatrix,
                        lanczos_top, masked_gram_apply, masked_norm, power_top,
@@ -29,9 +28,9 @@ from .baker import (BakerMap, CutoffProfile, GelfandReport, bump_profile,
 from .sweep import RunRecord, SweepSpec, run_sweep
 
 __all__ = [
-    "Alphabet", "CantorSet", "CapacityError", "DilatedCantorSet",
+    "Alphabet", "CantorSet", "CapacityError",
     "build_alphabet_initial", "build_alphabet_interval", "cantor_elements",
-    "dilate", "parse_rational",
+    "dilate",
     "ConvergenceError", "FupExponentReport", "NormCertificate",
     "beta_dilated", "beta_k", "dft_apply", "dft_submatrix", "lanczos_top",
     "masked_gram_apply", "masked_norm", "power_top", "submatrix_norm_bounds",

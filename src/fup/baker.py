@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cantor import Alphabet, CapacityError, rational_to_json
+from .cantor import Alphabet, CapacityError
 from .diophantine import best_rational, canonical_dilation
 from .spectral import ConvergenceError, lanczos_top, power_top
 
@@ -228,7 +228,7 @@ def gelfand_bound(bmap: BakerMap, n_max: int = 64, tol: float = 1e-10,
         delta = bmap.alphabet.delta
         main = bmap.M ** (-(0.5 - delta + ra.gamma / 2) + eps)
         comparison = {
-            "alpha": rational_to_json(alpha),
+            "alpha": alpha,
             "k": k,
             "b": ra.b,
             "q": ra.q,

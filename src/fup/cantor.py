@@ -4,17 +4,25 @@ An alphabet is a set of base-M digits A subset of {0, ..., M-1}. Depth-k
 words over A, read as integers a_0 + a_1 M + ... + a_{k-1} M^{k-1}, form the
 discrete Cantor set C_k subset of Z_{M^k} with dimension
 delta = log|A| / log M. Dilating by a rational alpha with N = alpha * M^k an
-integer multiple of M gives the set {ceil(alpha * j) : j in C_k} inside Z_N.
+integer multiple of M gives the set C_k(N) = {ceil(alpha * j) : j in C_k}
+inside Z_N.
 
-Everything here is exact: elements are Python ints, dilation factors are
-`fractions.Fraction`, and delta is recomputed from (|A|, M) on demand rather
-than stored as a rounded float.
+One type covers the whole family: a CantorSet is (alphabet, k, alpha), with
+alpha = 1 for C_k itself, and its elements are built from those three only
+when a caller reads them. Everything here is exact: elements are a sorted
+int64 array (every index is below N <= 2^53), dilation factors are
+`fractions.Fraction` and the ceilings are taken in integer arithmetic, and
+delta is recomputed from (|A|, M) on demand rather than stored as a rounded
+float.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+
+import numpy as np
 
 # Indices must stay exactly representable as doubles for the FFT layer.
 CAPACITY = 2**53
@@ -22,19 +30,6 @@ CAPACITY = 2**53
 
 class CapacityError(ValueError):
     """M^k (or an element count) exceeds the exact-integer budget."""
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse 'p/r' or 'p' into an exact rational."""
-    return Fraction(text.strip())
-
-
-def rational_to_json(x: Fraction) -> dict:
-    return {"numerator": x.numerator, "denominator": x.denominator}
-
-
-def rational_from_json(d: dict) -> Fraction:
-    return Fraction(d["numerator"], d["denominator"])
 
 
 @dataclass(frozen=True)
@@ -63,45 +58,35 @@ class Alphabet:
         # log|A|/log M; exact pair (|A|, M) is the stored truth
         return math.log(len(self.letters)) / math.log(self.M)
 
-    @staticmethod
-    def from_json(d: dict) -> "Alphabet":
-        return Alphabet(d["M"], tuple(d["letters"]))
-
 
 @dataclass(frozen=True)
 class CantorSet:
-    """All depth-k digit words over the alphabet, as sorted integers."""
+    """C_k(N) = {ceil(alpha * j) : j in C_k} inside Z_N, N = alpha * M^k;
+    alpha = 1 is C_k itself. Build it with cantor_elements and dilate,
+    which check the parameters."""
 
     alphabet: Alphabet
     k: int
-    elements: tuple[int, ...]
+    alpha: Fraction = Fraction(1)
 
     @property
-    def modulus(self) -> int:
-        return self.alphabet.M**self.k
+    def N(self) -> int:
+        return int(self.alpha * self.alphabet.M**self.k)
 
-    @staticmethod
-    def from_json(d: dict) -> "CantorSet":
-        return CantorSet(Alphabet.from_json(d["alphabet"]), d["k"], tuple(d["elements"]))
-
-
-@dataclass(frozen=True)
-class DilatedCantorSet:
-    """{ceil(alpha * j) : j in base.elements} inside Z_N, N = alpha * M^k."""
-
-    base: CantorSet
-    alpha: Fraction
-    N: int
-    elements: tuple[int, ...]
-
-    @staticmethod
-    def from_json(d: dict) -> "DilatedCantorSet":
-        return DilatedCantorSet(
-            CantorSet.from_json(d["base"]),
-            rational_from_json(d["alpha"]),
-            d["N"],
-            tuple(d["elements"]),
-        )
+    @cached_property
+    def elements(self) -> np.ndarray:
+        """The |A|^k elements, sorted, as a read-only int64 array."""
+        A = np.asarray(self.alphabet.letters, dtype=np.int64)
+        # prefix * M + letter keeps the words sorted at every stage
+        e = np.zeros(1, dtype=np.int64)
+        for _ in range(self.k):
+            e = (e[:, None] * self.alphabet.M + A).ravel()
+        if self.alpha != 1:
+            # ceil(p*j/r) exactly: p*j can pass 2^63 while N stays below 2^53
+            p, r = self.alpha.numerator, self.alpha.denominator
+            e = ((e.astype(object) * p + (r - 1)) // r).astype(np.int64)
+        e.setflags(write=False)
+        return e
 
 
 def build_alphabet_interval(M: int, delta: float) -> Alphabet:
@@ -139,7 +124,7 @@ def build_alphabet_initial(M: int, Mdelta: int) -> Alphabet:
 
 
 def cantor_elements(alphabet: Alphabet, k: int) -> CantorSet:
-    """Enumerate C_k, sorted. Satisfies both splits
+    """C_k in Z_{M^k}. Its elements satisfy both splits
     C_k = C_{k-1} + M^{k-1} A and C_k = C_1 + M * C_{k-1}.
     """
     if k < 1:
@@ -149,19 +134,17 @@ def cantor_elements(alphabet: Alphabet, k: int) -> CantorSet:
         raise CapacityError(f"M^k = {M}^{k} exceeds the 2^53 index budget")
     if len(alphabet.letters) ** k > 2**26:
         raise CapacityError(f"|A|^k = {len(alphabet.letters)}^{k} elements is too large")
-    # prefix * M + letter keeps the list sorted at every stage
-    elements = [0]
-    for _ in range(k):
-        elements = [c * M + a for c in elements for a in alphabet.letters]
-    return CantorSet(alphabet, k, tuple(elements))
+    return CantorSet(alphabet, k)
 
 
-def dilate(cantor: CantorSet, alpha: Fraction) -> DilatedCantorSet:
+def dilate(cantor: CantorSet, alpha: Fraction) -> CantorSet:
     """Dilate C_k by alpha in [1, M). Requires N = alpha * M^k to be an
     integer multiple of M. Ceiling is strictly increasing on integers when
-    alpha >= 1, so no collisions occur.
+    alpha >= 1, so no collisions occur; dilate(C_k, 1) is C_k.
     """
     alpha = Fraction(alpha)
+    if cantor.alpha != 1:
+        raise ValueError(f"the set is already dilated by {cantor.alpha}")
     M = cantor.alphabet.M
     if not (1 <= alpha < M):
         raise ValueError(f"need 1 <= alpha < M = {M}, got {alpha}")
@@ -173,7 +156,4 @@ def dilate(cantor: CantorSet, alpha: Fraction) -> DilatedCantorSet:
         raise ValueError(f"N = {N} is not a multiple of M = {M}")
     if N > CAPACITY:
         raise CapacityError(f"N = {N} exceeds the 2^53 index budget")
-    p, r = alpha.numerator, alpha.denominator
-    # ceil(p*j/r) in exact integer arithmetic
-    elements = tuple((p * j + r - 1) // r for j in cantor.elements)
-    return DilatedCantorSet(cantor, alpha, N, elements)
+    return CantorSet(cantor.alphabet, cantor.k, alpha)

@@ -23,7 +23,7 @@ from .cantor import CapacityError
 from .spectral import DEFAULT_SEED, DEFAULT_TOL, ConvergenceError, masked_norm
 from .serialize import dumps_canonical
 from .svgplot import emit_plot
-from .sweep import _RUNNERS, REQUIRED, SweepSpec, build_masks, parameters, run_sweep
+from .sweep import _RUNNERS, REQUIRED, SweepSpec, build_mask, parameters, run_sweep
 
 ELEMENT_PRINT_CAP = 4096
 SOLVER_FLAGS = ("tol", "seed")
@@ -51,18 +51,19 @@ def _solver(args) -> dict:
 
 
 def cmd_cantor(args) -> int:
-    alphabet, k, alpha, mask, N = build_masks(**_params(args))
-    elements = mask.elements
+    mask = build_mask(**_params(args))
+    alphabet = mask.alphabet
+    size = alphabet.size**mask.k
     payload = {
         "M": alphabet.M,
         "alphabet": list(alphabet.letters),
         "delta": alphabet.delta,
-        "k": k,
-        "alpha": alpha,
-        "N": N,
-        "size": len(elements),
-        "elements": list(elements) if len(elements) <= ELEMENT_PRINT_CAP else None,
-        "elements_omitted": len(elements) > ELEMENT_PRINT_CAP,
+        "k": mask.k,
+        "alpha": mask.alpha,
+        "N": mask.N,
+        "size": size,
+        "elements": mask.elements if size <= ELEMENT_PRINT_CAP else None,
+        "elements_omitted": size > ELEMENT_PRINT_CAP,
     }
     _emit(payload, args)
     return 0
@@ -71,10 +72,10 @@ def cmd_cantor(args) -> int:
 def cmd_norm(args) -> int:
     params = _params(args)
     method = params.pop("method")
-    alphabet, k, alpha, mask, N = build_masks(**params)
-    cert = masked_norm(mask, mask, N, method=method, **_solver(args))
-    _emit({"M": alphabet.M, "k": k, "N": N, "alpha": alpha,
-           "size": len(mask.elements), "norm": cert}, args)
+    mask = build_mask(**params)
+    cert = masked_norm(mask, mask, mask.N, method=method, **_solver(args))
+    _emit({"M": mask.alphabet.M, "k": mask.k, "N": mask.N, "alpha": mask.alpha,
+           "size": mask.alphabet.size**mask.k, "norm": cert}, args)
     return 0
 
 
@@ -180,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("sweep", cmd_sweep, "run a parameter grid from a JSON config")
     p.add_argument("--config", required=True)
     p.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                   help="worker threads (default FUP_THREADS or 1)")
+                   help="worker threads (default: the config's threads, else 1)")
 
     p = add("plot", cmd_plot, "render sweep results to SVG", parents=())
     p.add_argument("--kind", required=True,

@@ -192,7 +192,7 @@ def fk_eval(cantor: CantorSet, x):
     the elements; the factored recursion F_k(x) = F_1(x) F_{k-1}(M x) is
     what tests verify against this.
     """
-    elems = np.array(cantor.elements, dtype=np.float64)
+    elems = cantor.elements.astype(np.float64)
     if elems.size > 2**16:
         raise CapacityError("direct F_k evaluation limited to |C_k| <= 65536")
     xs = np.atleast_1d(np.asarray(x, dtype=np.float64)).ravel()
@@ -276,9 +276,11 @@ def sk_estimate(cantor: CantorSet, alpha, grid: int = 4096) -> float:
     F_k factors through the digit split as prod_{r<k} F_1(M^r x), which
     keeps the cost at k alphabet sums per point instead of |C_k| terms.
     """
+    if cantor.alpha != 1:
+        raise ValueError("sk_estimate takes the undilated C_k; alpha is its own argument")
     if cantor.k > SK_MAX_K:
         raise CapacityError(f"sk_estimate limited to k <= {SK_MAX_K}")
-    elems = np.array(cantor.elements, dtype=np.float64)
+    elems = cantor.elements.astype(np.float64)
     if elems.size > SK_MAX_ELEMENTS:
         raise CapacityError(f"sk_estimate limited to |C_k| <= {SK_MAX_ELEMENTS}")
     alpha = Fraction(alpha)
@@ -359,7 +361,7 @@ def theorem2_report(M: int, Mdelta: int, k: int, alpha, eps: float = 0.0,
     delta = alphabet.delta
     target_raw = 0.5 - delta + ra.gamma / 2
     bounds = g_bound(M, Mdelta, alpha, outer_grid=outer_grid)
-    if k <= SK_MAX_K and len(cantor.elements) <= 512:
+    if k <= SK_MAX_K and alphabet.size**k <= 512:
         bounds = replace(bounds, k=k,
                          S_k_grid=sk_estimate(cantor, alpha, grid=sk_grid))
     else:

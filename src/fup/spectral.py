@@ -12,9 +12,9 @@ The Gram runs on one of two routes, which give the same operator:
 - FFT: scatter into Z_N, N-point FFT, gather X, scatter, inverse FFT,
   gather Y. Cost O(N log N) per application, for any masks.
 - Digit-pruned transform (FFT pruning, Markel 1971), for X = Y = C_k
-  undilated with N = M^k. Write W_{n_0} for the depth-(j-1) transform of
-  the subsequence of words with lowest digit n_0 in A, m = m_low +
-  M^{j-1} m_top with m_low in C_{j-1} and m_top in A, F_A[a, b] =
+  undilated (alpha = 1) with N = M^k. Write W_{n_0} for the depth-(j-1)
+  transform of the subsequence of words with lowest digit n_0 in A, m =
+  m_low + M^{j-1} m_top with m_low in C_{j-1} and m_top in A, F_A[a, b] =
   e^{-2 pi i ab/M} and tw_j[a, m_low] = e^{-2 pi i a m_low/M^j}. Then
       output(m_low + M^{j-1} m_top)
           = sum_{n_0 in A} F_A[m_top, n_0] tw_j[n_0, m_low] W_{n_0}(m_low),
@@ -33,10 +33,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cantor import Alphabet, CantorSet, CapacityError, DilatedCantorSet
+from .cantor import Alphabet, CantorSet, CapacityError
 from .jacobi import jacobi_svd
 
 MAX_POWER_ITERATIONS = 100_000
+NORM_METHODS = ("lanczos", "power-iteration", "dense-svd")
+# Lanczos basis cap, Ritz vectors kept at a thick restart, steps between
+# convergence checks; block width of the power iteration
+LANCZOS_NCV = 512
+LANCZOS_KEEP = 64
+LANCZOS_CHECK_EVERY = 8
+POWER_BLOCK = 8
 # the solver settings a caller leaves unset
 DEFAULT_TOL = 1e-10
 DEFAULT_SEED = 0
@@ -65,9 +72,10 @@ def dft_apply(u, direction: str = "forward") -> np.ndarray:
 
 
 def _as_indices(S, N: int, name: str) -> np.ndarray:
-    if isinstance(S, (CantorSet, DilatedCantorSet)):
-        S = S.elements
-    idx = np.unique(np.asarray(list(S), dtype=np.int64))
+    if isinstance(S, CantorSet):
+        idx = S.elements  # sorted and distinct
+    else:
+        idx = np.unique(np.asarray(S, dtype=np.int64))
     if idx.size == 0:
         raise ValueError(f"{name} mask is empty")
     if idx[0] < 0 or idx[-1] >= N:
@@ -87,7 +95,7 @@ def dft_submatrix(X, Y, N: int) -> np.ndarray:
 def masked_gram_apply(X, Y, N: int):
     """Matrix-free v -> 1_Y F* 1_X F 1_Y v on C^{|Y|}, coordinates in
     increasing order of Y; the route is picked as in the module docstring."""
-    if (isinstance(X, CantorSet) and X == Y and N == X.modulus
+    if (isinstance(X, CantorSet) and X == Y and X.alpha == 1 and N == X.N
             and X.k * X.alphabet.size ** (X.k + 1) < N):
         return _pruned_gram_apply(X.alphabet, X.k)
     Xi = _as_indices(X, N, "X")
@@ -134,7 +142,7 @@ def _pruned_gram_apply(alphabet: Alphabet, k: int):
 
 
 def power_top(apply, dim: int, tol: float = 1e-10, seed: int = 0,
-              max_iterations: int = MAX_POWER_ITERATIONS, block: int = 8):
+              max_iterations: int = MAX_POWER_ITERATIONS):
     """Orthogonal (block power) iteration on a Hermitian PSD operator.
 
     Symmetric alphabets give masked Grams whose top eigenvalues come in
@@ -146,7 +154,7 @@ def power_top(apply, dim: int, tol: float = 1e-10, seed: int = 0,
     * theta. max_iterations caps operator applications, not steps.
     """
     rng = np.random.default_rng(seed)
-    b = max(1, min(block, dim))
+    b = max(1, min(POWER_BLOCK, dim))
 
     def fresh(cols):
         Z = rng.standard_normal((dim, cols)) + 1j * rng.standard_normal((dim, cols))
@@ -182,8 +190,7 @@ def power_top(apply, dim: int, tol: float = 1e-10, seed: int = 0,
 
 
 def lanczos_top(apply, dim: int, tol: float = 1e-10, seed: int = 0,
-                max_matvecs: int = MAX_POWER_ITERATIONS, ncv: int = 512,
-                keep: int = 64, check_every: int = 8):
+                max_matvecs: int = MAX_POWER_ITERATIONS):
     """Largest eigenvalue of a Hermitian PSD operator by thick-restart
     Lanczos with full reorthogonalization.
 
@@ -191,15 +198,15 @@ def lanczos_top(apply, dim: int, tol: float = 1e-10, seed: int = 0,
     masked-DFT Gram operators where plain power iteration stalls. Returns
     (theta, vector, matvecs, residual) with residual = |A v - theta v| / theta
     measured by an explicit extra application. The basis starts with a few
-    rows and doubles up to ncv as the iteration needs them, so its memory
-    follows the matvecs used rather than ncv.
+    rows and doubles up to LANCZOS_NCV as the iteration needs them, so its
+    memory follows the matvecs used rather than LANCZOS_NCV.
     """
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v /= np.linalg.norm(v)
-    ncv = int(min(ncv, dim))
-    keep = int(min(keep, max(1, ncv - 4)))
-    V = np.zeros((min(ncv, 2 * check_every), dim), dtype=np.complex128)
+    ncv = int(min(LANCZOS_NCV, dim))
+    keep = int(min(LANCZOS_KEEP, max(1, ncv - 4)))
+    V = np.zeros((min(ncv, 2 * LANCZOS_CHECK_EVERY), dim), dtype=np.complex128)
     V[0] = v
     T = np.zeros((ncv, ncv))
     j = 0
@@ -215,7 +222,7 @@ def lanczos_top(apply, dim: int, tol: float = 1e-10, seed: int = 0,
             w = w - np.conj(V[: j + 1] @ np.conj(w)) @ V[: j + 1]
         beta = float(np.linalg.norm(w))
         at_cap = j + 1 == ncv
-        if (j + 1) % check_every == 0 or at_cap or beta < 1e-14:
+        if (j + 1) % LANCZOS_CHECK_EVERY == 0 or at_cap or beta < 1e-14:
             evals, evecs = np.linalg.eigh(T[: j + 1, : j + 1])
             theta = float(evals[-1])
             s = evecs[:, -1]
@@ -295,14 +302,15 @@ class NormCertificate:
 
 
 def masked_norm(X, Y, N: int, tol: float = DEFAULT_TOL,
-                seed: int = DEFAULT_SEED, method: str = "lanczos",
-                max_iterations: int = MAX_POWER_ITERATIONS) -> NormCertificate:
+                seed: int = DEFAULT_SEED, method: str = "lanczos") -> NormCertificate:
     """Certificate for |1_X F_N 1_Y| = top singular value of the submatrix.
 
     method "lanczos" (default) and "power-iteration" run matrix-free on the
     Gram operator with a seeded start; "dense-svd" builds the submatrix and
     runs one-sided Jacobi.
     """
+    if method not in NORM_METHODS:
+        raise ValueError(f"unknown method {method!r}")
     if tol <= 0:
         raise ValueError("tol must be positive")
     if method == "dense-svd":
@@ -318,12 +326,8 @@ def masked_norm(X, Y, N: int, tol: float = DEFAULT_TOL,
         res = float(np.linalg.norm(A.conj().T @ (A @ v) - sigma**2 * v)) / sigma**2
         return NormCertificate(sigma, "dense-svd", result.rotations, res, seed)
     apply, dim = masked_gram_apply(X, Y, N)
-    if method == "power-iteration":
-        lam, _, its, res = power_top(apply, dim, tol, seed, max_iterations)
-    elif method == "lanczos":
-        lam, _, its, res = lanczos_top(apply, dim, tol, seed, max_iterations)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    engine = power_top if method == "power-iteration" else lanczos_top
+    lam, _, its, res = engine(apply, dim, tol, seed)
     return NormCertificate(math.sqrt(lam), method, its, res, seed)
 
 
@@ -363,7 +367,7 @@ def beta_k(cert: NormCertificate, alphabet: Alphabet, k: int) -> FupExponentRepo
                              max(0.0, 0.5 - delta), 0.5 - delta / 2)
 
 
-def beta_dilated(cert: NormCertificate, dilated: DilatedCantorSet) -> FupExponentReport:
+def beta_dilated(cert: NormCertificate, dilated: CantorSet) -> FupExponentReport:
     """beta_k(N) = -log sigma / log N for the dilated sets, N = alpha M^k.
 
     The Schur/Hilbert-Schmidt sandwich holds with the set's dimension
@@ -372,9 +376,9 @@ def beta_dilated(cert: NormCertificate, dilated: DilatedCantorSet) -> FupExponen
     """
     if cert.sigma_max <= 0:
         raise ValueError("sigma_max must be positive")
-    alphabet = dilated.base.alphabet
-    d_eff = math.log(len(dilated.elements)) / math.log(dilated.N)
+    alphabet = dilated.alphabet
+    d_eff = math.log(alphabet.size**dilated.k) / math.log(dilated.N)
     beta = -math.log(cert.sigma_max) / math.log(dilated.N)
-    return FupExponentReport(alphabet.M, dilated.base.k, dilated.N, alphabet.delta,
+    return FupExponentReport(alphabet.M, dilated.k, dilated.N, alphabet.delta,
                              cert.sigma_max, beta,
                              max(0.0, 0.5 - d_eff), 0.5 - d_eff / 2)

@@ -25,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import inspect
 import itertools
-import os
 import platform
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -36,9 +35,8 @@ from pathlib import Path
 import numpy as np
 
 from .baker import BakerMap, gelfand_bound, make_cutoff
-from .cantor import (Alphabet, CapacityError, build_alphabet_initial,
-                     build_alphabet_interval, cantor_elements, dilate,
-                     parse_rational)
+from .cantor import (Alphabet, CantorSet, CapacityError, build_alphabet_initial,
+                     build_alphabet_interval, cantor_elements, dilate)
 from .diophantine import best_rational, theorem2_report
 from .spectral import (DEFAULT_SEED, DEFAULT_TOL, ConvergenceError, beta_dilated,
                        beta_k, masked_norm)
@@ -51,11 +49,8 @@ REQUIRED = inspect.Parameter.empty
 
 
 def parse_alpha(text) -> Fraction:
-    if isinstance(text, Fraction):
-        return text
-    if isinstance(text, int):
-        return Fraction(text)
-    return parse_rational(str(text))
+    """An exact rational from 'p/r', 'p', a decimal or a number."""
+    return Fraction(str(text))
 
 
 def parse_alphabet_spec(M: int, spec: str) -> Alphabet:
@@ -90,6 +85,8 @@ class SweepSpec:
 
     @classmethod
     def from_json(cls, d: dict) -> "SweepSpec":
+        if "command" not in d:
+            raise ValueError("sweep config lacks the required key 'command'")
         return cls(command=d["command"], grid=dict(d.get("grid", {})),
                    tol=float(d.get("tol", DEFAULT_TOL)),
                    seed=int(d.get("seed", DEFAULT_SEED)),
@@ -133,30 +130,31 @@ def _integer(name: str, value) -> int:
     return int(exact)
 
 
-def build_masks(M, alphabet, k, alpha):
-    """(alphabet, k, alpha, mask, N): C_k in Z_{M^k}, or its dilation by
-    alpha in Z_N, N = alpha M^k, unless alpha = 1."""
+def _real(name: str, value) -> float:
+    """value as a float; anything float() refuses is a bad parameter."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a real number, got {value!r}") from None
+
+
+def build_mask(M, alphabet, k, alpha) -> CantorSet:
+    """C_k in Z_{M^k} dilated by alpha into Z_N, N = alpha M^k."""
     M, k = _integer("M", M), _integer("k", k)
-    letters = parse_alphabet_spec(M, alphabet)
-    alpha = parse_alpha(alpha)
-    cantor = cantor_elements(letters, k)
-    if alpha == 1:
-        return letters, k, alpha, cantor, M**k
-    dil = dilate(cantor, alpha)
-    return letters, k, alpha, dil, dil.N
+    return dilate(cantor_elements(parse_alphabet_spec(M, alphabet), k), parse_alpha(alpha))
 
 
 def _point_beta(M, alphabet, k, alpha=1, method="lanczos", *, tol, seed):
-    letters, k, alpha, mask, N = build_masks(M, alphabet, k, alpha)
-    cert = masked_norm(mask, mask, N, tol=tol, seed=seed, method=method)
-    rep = beta_k(cert, letters, k) if alpha == 1 else beta_dilated(cert, mask)
+    mask = build_mask(M, alphabet, k, alpha)
+    cert = masked_norm(mask, mask, mask.N, tol=tol, seed=seed, method=method)
+    rep = beta_k(cert, mask.alphabet, mask.k) if mask.alpha == 1 else beta_dilated(cert, mask)
     if not (rep.lower_theory - SANDWICH_SLACK <= rep.beta_k
             <= rep.upper_theory + SANDWICH_SLACK):
         raise ArithmeticError(
             f"exponent {rep.beta_k} violates the sandwich "
             f"[{rep.lower_theory}, {rep.upper_theory}]")
-    row = {"M": letters.M, "alphabet": str(alphabet), "k": k, "N": rep.N,
-           "delta": rep.delta, "alpha": str(alpha), "sigma": cert.sigma_max,
+    row = {"M": rep.M, "alphabet": str(alphabet), "k": rep.k, "N": rep.N,
+           "delta": rep.delta, "alpha": str(mask.alpha), "sigma": cert.sigma_max,
            "beta_k": rep.beta_k, "lower_theory": rep.lower_theory,
            "upper_theory": rep.upper_theory, "method": cert.method,
            "iterations": cert.iterations, "residual": cert.residual}
@@ -169,7 +167,7 @@ _BETA_COLS = ["M", "alphabet", "k", "N", "delta", "alpha", "sigma", "beta_k",
 
 def _point_theorem1(M, delta, k, grid=100_000, ysamples=20_001,
                     method="lanczos", *, tol, seed):
-    M, k, delta = _integer("M", M), _integer("k", k), float(delta)
+    M, k, delta = _integer("M", M), _integer("k", k), _real("delta", delta)
     rep = theorem1_certificate(
         M, delta, k, grid_points=_integer("grid", grid), tol=tol, seed=seed,
         method=method, y_samples=_integer("ysamples", ysamples))
@@ -190,7 +188,7 @@ def _point_theorem2(M, Mdelta, k, alpha, eps=0.0, outer_grid=200_000,
                     method="lanczos", *, tol, seed):
     rep = theorem2_report(
         _integer("M", M), _integer("Mdelta", Mdelta), _integer("k", k),
-        parse_alpha(alpha), eps=float(eps), tol=tol, seed=seed, method=method,
+        parse_alpha(alpha), eps=_real("eps", eps), tol=tol, seed=seed, method=method,
         outer_grid=_integer("outer_grid", outer_grid))
     row = {"M": rep.M, "Mdelta": rep.Mdelta, "k": rep.k, "alpha": str(rep.alpha),
            "N": rep.N, "q": rep.approx.q, "gamma": rep.gamma,
@@ -227,12 +225,10 @@ def _point_baker(N, M, alphabet, cutoff="bump", nmax=64, eps=0.0,
     profile = make_cutoff(str(cutoff), N // M)
     n_max = _integer("nmax", nmax)
     rep = gelfand_bound(BakerMap(N, M, letters, profile), n_max=n_max, tol=tol,
-                        seed=seed, eps=float(eps), method=method)
+                        seed=seed, eps=_real("eps", eps), method=method)
     comp = rep.comparison or {}
-    alpha_json = comp.get("alpha")
-    alpha_str = None
-    if alpha_json is not None:
-        alpha_str = f"{alpha_json['numerator']}/{alpha_json['denominator']}"
+    alpha = comp.get("alpha")
+    alpha_str = None if alpha is None else f"{alpha.numerator}/{alpha.denominator}"
     row = {"N": N, "M": M, "alphabet": str(alphabet),
            "cutoff": profile.kind, "nmax": n_max,
            "alpha": alpha_str, "q": comp.get("q"), "gamma": comp.get("gamma"),
@@ -259,13 +255,6 @@ def parameters(command: str) -> dict:
     runner, _ = _RUNNERS[command]
     return {p.name: p.default for p in inspect.signature(runner).parameters.values()
             if p.kind is p.POSITIONAL_OR_KEYWORD}
-
-
-def default_threads() -> int:
-    env = os.environ.get("FUP_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return 1
 
 
 def run_sweep(spec: SweepSpec) -> RunRecord:
@@ -300,7 +289,7 @@ def run_sweep(spec: SweepSpec) -> RunRecord:
         except (ArithmeticError, ConvergenceError) as err:
             return {"status": "failed", "error": str(err), "point": p}
 
-    workers = spec.threads if spec.threads else default_threads()
+    workers = spec.threads or 1
     if workers > 1 and len(points) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(run_point, points))

@@ -24,13 +24,16 @@ import numpy as np
 
 from .cantor import (Alphabet, CantorSet, CapacityError,
                      build_alphabet_interval, cantor_elements)
-from .spectral import (FupExponentReport, NormCertificate, beta_k, masked_norm,
-                       shaped_like)
+from .spectral import (NORM_METHODS, FupExponentReport, NormCertificate, beta_k,
+                       masked_norm, shaped_like)
 
 DENSE_CHAIN_BUDGET = 2**24
 PRODUCT_CHECK_BUDGET = 2**20
 # 1 - x/2 >= e^{-x} fails past x ~ 1.5936; stay strictly inside
 EXP_STEP_MAX = 1.59
+# grid points per chunk of symbol_eval and band_masses
+SYMBOL_CHUNK = 8192
+BAND_CHUNK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,7 +100,7 @@ def gaussian_seed(alphabet: Alphabet) -> SeedFunction:
     return SeedFunction(alphabet, vals)
 
 
-def symbol_eval(seed: SeedFunction, x, chunk: int = 8192):
+def symbol_eval(seed: SeedFunction, x):
     """G_f(x) = M^{-1/2} sum_l f(l) e^{-2 pi i l x}; 1-periodic, finite sum.
 
     Accepts scalars or arrays; evaluation is chunked so large grids do not
@@ -107,13 +110,13 @@ def symbol_eval(seed: SeedFunction, x, chunk: int = 8192):
     supp = seed.support.astype(np.float64)
     coef = seed.values[seed.support] / math.sqrt(seed.M)
     out = np.empty(xs.size, dtype=np.complex128)
-    for s in range(0, xs.size, chunk):
-        xx = xs[s:s + chunk]
-        out[s:s + chunk] = np.exp(-2j * np.pi * np.outer(xx, supp)) @ coef
+    for s in range(0, xs.size, SYMBOL_CHUNK):
+        xx = xs[s:s + SYMBOL_CHUNK]
+        out[s:s + SYMBOL_CHUNK] = np.exp(-2j * np.pi * np.outer(xx, supp)) @ coef
     return shaped_like(out, x)
 
 
-def band_masses(seed: SeedFunction, letters, y, chunk: int = 4096) -> np.ndarray:
+def band_masses(seed: SeedFunction, letters, y) -> np.ndarray:
     """sum_{l in letters} |G_f(l/M + y)|^2 evaluated at each offset y.
 
     For fixed y the values G_f(l/M + y) over all residues l are one ortho
@@ -127,10 +130,10 @@ def band_masses(seed: SeedFunction, letters, y, chunk: int = 4096) -> np.ndarray
     m = np.arange(M, dtype=np.float64)
     out = np.zeros(ys.size)
     if idx.size:
-        for s in range(0, ys.size, chunk):
-            rows = seed.values[None, :] * np.exp(-2j * np.pi * np.outer(ys[s:s + chunk], m))
+        for s in range(0, ys.size, BAND_CHUNK):
+            rows = seed.values[None, :] * np.exp(-2j * np.pi * np.outer(ys[s:s + BAND_CHUNK], m))
             spec = np.fft.fft(rows, axis=1, norm="ortho")
-            out[s:s + chunk] = (np.abs(spec[:, idx]) ** 2).sum(axis=1)
+            out[s:s + BAND_CHUNK] = (np.abs(spec[:, idx]) ** 2).sum(axis=1)
     if np.ndim(y) == 0:
         return out  # length-1 array; callers index or reduce
     return out.reshape(np.shape(y))
@@ -168,7 +171,7 @@ def convolution_chain(seed: SeedFunction, k: int) -> ConvolutionChain:
         # same nesting order as the element construction: earlier digits high
         vals = (vals[:, None] * fvals[None, :]).ravel()
     u = np.zeros(N, dtype=np.complex128)
-    u[np.array(cantor.elements)] = vals
+    u[cantor.elements] = vals
     nsq = float(np.vdot(u, u).real)
     ref = seed.norm_sq**k
     if abs(nsq - ref) > 1e-10 * max(nsq, ref):
@@ -338,6 +341,8 @@ def theorem1_certificate(M: int, delta: float, k: int,
     against the iteratively computed masked norm, and reports whether the
     measured exponent clears 170 e^{-(pi/4) M^{2 delta - 1}} plus slack.
     """
+    if method not in NORM_METHODS:
+        raise ValueError(f"unknown method {method!r}")
     if not 0.5 < delta < 1.0:
         raise ValueError("delta must lie in (1/2, 1)")
     alphabet = build_alphabet_interval(M, delta)
@@ -364,7 +369,7 @@ def theorem1_certificate(M: int, delta: float, k: int,
     if M**k <= DENSE_CHAIN_BUDGET:
         chain = convolution_chain(fn, k)
         spectrum = np.fft.fft(chain.u, norm="ortho")
-        chain_lhs = float(np.sum(np.abs(spectrum[np.array(cantor.elements)]) ** 2))
+        chain_lhs = float(np.sum(np.abs(spectrum[cantor.elements]) ** 2))
         if chain_lhs < chain_rhs - 1e-12:
             raise ArithmeticError(
                 f"chain mass {chain_lhs} fell below its certified floor {chain_rhs}")

@@ -1,4 +1,6 @@
 """Open baker propagator: block structure, contraction, spectral-radius bounds."""
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -141,7 +143,7 @@ def test_gelfand_comparison_branch():
     rep = gelfand_bound(BakerMap(64, 4, a, bump_profile(16)), n_max=4)
     comp = rep.comparison
     assert comp is not None
-    assert comp["alpha"] == {"numerator": 1, "denominator": 1}
+    assert comp["alpha"] == Fraction(1, 1)
     assert comp["k"] == 3
     assert comp["q"] == 1 and comp["gamma"] == 0.0
     assert comp["residual_slot"] == pytest.approx(rep.rho_upper - comp["main_term"])

@@ -2,15 +2,16 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fup.cantor import (CAPACITY, Alphabet, CantorSet, CapacityError,
-                        DilatedCantorSet, build_alphabet_initial,
-                        build_alphabet_interval, cantor_elements, dilate,
-                        parse_rational, rational_from_json, rational_to_json)
-from fup.serialize import sanitize
+from fup.cantor import (CAPACITY, Alphabet, CapacityError,
+                        build_alphabet_initial, build_alphabet_interval,
+                        cantor_elements, dilate)
+from fup.spectral import masked_gram_apply
+from fup.sweep import parse_alpha
 
 
 def test_alphabet_validation():
@@ -38,22 +39,11 @@ def test_alphabet_size_and_delta():
     assert full.delta == pytest.approx(1.0, abs=1e-15)
 
 
-def test_json_round_trips():
-    a = Alphabet(6, (1, 3, 4))
-    assert Alphabet.from_json(sanitize(a)) == a
-    c = cantor_elements(a, 2)
-    assert CantorSet.from_json(sanitize(c)) == c
-    d = dilate(cantor_elements(Alphabet(4, (0, 1)), 2), Fraction(3, 2))
-    assert DilatedCantorSet.from_json(sanitize(d)) == d
-    x = Fraction(7, 3)
-    assert rational_from_json(rational_to_json(x)) == x
-
-
-def test_parse_rational():
-    assert parse_rational("3/2") == Fraction(3, 2)
-    assert parse_rational(" 7 ") == Fraction(7)
+def test_parse_alpha():
+    assert parse_alpha("3/2") == Fraction(3, 2)
+    assert parse_alpha(" 7 ") == Fraction(7)
     with pytest.raises(ValueError):
-        parse_rational("a/b")
+        parse_alpha("a/b")
 
 
 def test_interval_alphabet_membership():
@@ -81,18 +71,19 @@ def test_initial_alphabet():
 
 def test_cantor_elements_small():
     c = cantor_elements(Alphabet(3, (0, 2)), 2)
-    assert c.elements == (0, 2, 6, 8)
-    assert c.modulus == 9
+    assert c.elements.tolist() == [0, 2, 6, 8]
+    assert c.elements.dtype == np.int64 and not c.elements.flags.writeable
+    assert c.N == 9
     c1 = cantor_elements(Alphabet(3, (0, 2)), 1)
-    assert c1.elements == (0, 2)
+    assert c1.elements.tolist() == [0, 2]
 
 
 def test_cantor_splits():
     # C_k = C_{k-1} + M^{k-1} A = A + M C_{k-1} as sets
     a = Alphabet(5, (0, 2, 3))
     for k in (2, 3):
-        ck = set(cantor_elements(a, k).elements)
-        prev = cantor_elements(a, k - 1).elements
+        ck = set(cantor_elements(a, k).elements.tolist())
+        prev = cantor_elements(a, k - 1).elements.tolist()
         high = {c + 5 ** (k - 1) * d for c in prev for d in a.letters}
         low = {d + 5 * c for c in prev for d in a.letters}
         assert ck == high == low
@@ -121,7 +112,7 @@ def test_digit_round_trip(params):
     c = cantor_elements(a, k)
     assert len(c.elements) == a.size**k
     allowed = set(a.letters)
-    for x in c.elements:
+    for x in c.elements.tolist():
         digits = []
         v = x
         for _ in range(k):
@@ -145,7 +136,8 @@ def test_capacity_limits():
 def test_dilate_identity():
     c = cantor_elements(Alphabet(4, (0, 3)), 2)
     d = dilate(c, Fraction(1))
-    assert d.elements == c.elements
+    assert d == c
+    assert d.elements.tolist() == c.elements.tolist()
     assert d.N == 16
 
 
@@ -153,8 +145,8 @@ def test_dilate_exact_ceiling():
     c = cantor_elements(Alphabet(4, (0, 1)), 2)
     d = dilate(c, Fraction(5, 4))
     assert d.N == 20
-    expected = tuple(math.ceil(Fraction(5, 4) * j) for j in c.elements)
-    assert d.elements == expected
+    expected = [math.ceil(Fraction(5, 4) * j) for j in c.elements.tolist()]
+    assert d.elements.tolist() == expected
     # strictly increasing, hence no collisions
     assert all(x < y for x, y in zip(d.elements, d.elements[1:]))
     assert d.elements[-1] < d.N
@@ -170,6 +162,8 @@ def test_dilate_rejections():
         dilate(c1, Fraction(4))  # alpha >= M
     with pytest.raises(ValueError):
         dilate(c1, Fraction(7, 5))  # N = 28/5 is not an integer
+    with pytest.raises(ValueError):
+        dilate(dilate(c1, Fraction(2)), Fraction(2))  # already dilated
 
 
 def test_dilate_multiple_of_m_ok_at_higher_k():
@@ -177,3 +171,32 @@ def test_dilate_multiple_of_m_ok_at_higher_k():
     c2 = cantor_elements(Alphabet(4, (0, 1)), 2)
     d = dilate(c2, Fraction(5, 2))
     assert d.N == 40 and d.N % 4 == 0
+
+
+@given(st.data())
+def test_dilated_elements_are_exact_ceilings(data):
+    M = data.draw(st.integers(2, 10))
+    letters = data.draw(st.sets(st.integers(0, M - 1), min_size=1, max_size=M))
+    k = data.draw(st.integers(1, 4))
+    # alpha = top / M^(k-1) in [1, M), so N = top * M is a multiple of M
+    top = data.draw(st.integers(M ** (k - 1), M**k - 1))
+    alpha = Fraction(top, M ** (k - 1))
+    c = cantor_elements(Alphabet(M, tuple(sorted(letters))), k)
+    d = dilate(c, alpha)
+    assert d.N == top * M
+    assert d.elements.tolist() == [math.ceil(alpha * j) for j in c.elements.tolist()]
+
+
+def test_dilated_elements_past_int64_products():
+    # N = 2049 * 4^26 / 2048 < 2^53, but p * j reaches about 2^63
+    alpha = Fraction(2049, 2048)
+    d = dilate(cantor_elements(Alphabet(4, (3,)), 26), alpha)
+    j = 4**26 - 1  # the one element, 33...3 in base 4
+    assert d.N < 2**53 and 2049 * j > 2**63
+    assert d.elements.tolist() == [math.ceil(alpha * j)]
+
+
+def test_pruned_route_builds_no_elements():
+    c = cantor_elements(Alphabet(3, (0, 2)), 20)
+    masked_gram_apply(c, c, 3**20)
+    assert "elements" not in vars(c)

@@ -3,6 +3,7 @@ import argparse
 import dataclasses
 import json
 import shlex
+import time
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 import fup.cli
 import fup.sweep
 from fup.cli import build_parser, main
-from fup.sweep import REQUIRED, SweepSpec, default_threads, parameters, run_sweep
+from fup.sweep import REQUIRED, SweepSpec, parameters, run_sweep
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -182,6 +183,13 @@ def test_integer_parameters_refuse_fractions(tmp_path, capsys):
     assert skipped["status"] == "skipped"
     assert skipped["error"] == "k must be an integer, got 2.7"
     assert ok["status"] == "ok" and ok["k"] == 2
+    # a null float value skips its point instead of killing the sweep
+    record = run_sweep(SweepSpec("theorem2", {"M": 16, "Mdelta": 4, "k": 1,
+                                              "alpha": 5, "eps": [None, 0.0],
+                                              "outer_grid": 2000},
+                                 out_dir=str(tmp_path)))
+    assert [r["status"] for r in record.rows] == ["skipped", "ok"]
+    assert record.rows[0]["error"] == "eps must be a real number, got None"
 
 
 @pytest.mark.parametrize("grid, message", [
@@ -195,6 +203,21 @@ def test_sweep_refuses_missing_and_unknown_grid_keys(tmp_path, capsys, grid, mes
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
     assert not (tmp_path / "o" / "results.jsonl").exists()
+
+
+def test_sweep_config_without_command(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": {"M": 16, "Mdelta": 4, "alpha": 5}}))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "lacks the required key 'command'" in capsys.readouterr().err
+
+
+def test_unknown_method_fails_before_any_work(capsys):
+    t0 = time.perf_counter()
+    assert main(["theorem1", "--M", "256", "--delta", "0.9", "--k", "1",
+                 "--method", "foo"]) == 2
+    assert time.perf_counter() - t0 < 0.5
+    assert "unknown method 'foo'" in capsys.readouterr().err
 
 
 def test_sweep_flags_win_over_the_config(tmp_path, capsys):
@@ -324,13 +347,6 @@ def test_sweep_empty_grid(tmp_path, capsys):
     assert (tmp_path / "o" / "results.jsonl").read_text() == ""
     csv = (tmp_path / "o" / "summary.csv").read_text().splitlines()
     assert len(csv) == 1 and csv[0].startswith("M,")
-
-
-def test_default_threads_env(monkeypatch):
-    monkeypatch.delenv("FUP_THREADS", raising=False)
-    assert default_threads() == 1
-    monkeypatch.setenv("FUP_THREADS", "3")
-    assert default_threads() == 3
 
 
 def test_gap_plot_from_baker_sweep(tmp_path, capsys):

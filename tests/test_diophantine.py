@@ -7,7 +7,8 @@ from math import gcd
 import numpy as np
 import pytest
 
-from fup.cantor import Alphabet, CapacityError, build_alphabet_initial, cantor_elements
+from fup.cantor import (Alphabet, CapacityError, build_alphabet_initial,
+                        cantor_elements, dilate)
 from fup.diophantine import (best_rational, canonical_dilation, f1_abs,
                              f1_eval, f1_sup, fk_eval, g_bound, sk_estimate,
                              theorem2_report)
@@ -221,6 +222,8 @@ def test_sk_estimate_caps():
         big = cantor_elements(build_alphabet_initial(9, 9), 4)
     with pytest.raises(CapacityError):
         sk_estimate(big, 1)
+    with pytest.raises(ValueError):  # takes C_k and alpha, not C_k(N)
+        sk_estimate(dilate(cantor_elements(a, 2), 2), 2)
 
 
 def test_theorem2_report_structure():
