@@ -7,9 +7,10 @@ exponential sums
     F_k(x) = M^{-delta k} sum_{l in C_k} e^{-2 pi i l x},
 
 their window suprema G, and the sums S_k <= G^k. Everything rational is kept
-exact (fractions.Fraction); grid suprema carry explicit derivative slack so
-the reported G_upper is a true upper bound while S_k grids are honest lower
-estimates.
+exact (fractions.Fraction). G is bracketed from one periodic table of |F_1|
+by sliding-window maxima; the upper end carries explicit derivative slack,
+so the reported G_upper is a true upper bound, while G_grid and the S_k
+grids are honest lower estimates.
 
 Alphabets here are the initial segments {0, ..., Mdelta - 1} with
 Mdelta^2 <= M (delta <= 1/2); the normalizations M^{delta k} = Mdelta^k and
@@ -30,6 +31,7 @@ from .spectral import (FupExponentReport, NormCertificate, beta_dilated,
 
 SK_MAX_K = 4
 SK_MAX_ELEMENTS = 4096
+G_TABLE_MAX = 2**22  # |F_1| samples per period in g_bound's table
 
 
 def canonical_dilation(N: int, M: int) -> tuple[Fraction, int]:
@@ -128,18 +130,25 @@ def _dirichlet_ratio(Mdelta: int, x,
     """(y, r) at y = x mod 1: r = sin(pi Mdelta y) / (Mdelta sin(pi y)), or
     |r| with magnitude, taken as 1 at integers.
 
-    |r| is taken before np.where: taken after it, the peak memory of
-    g_bound's chunked loop grows by about one chunk.
+    Both sines are taken at the distance d = min(y, 1 - y) to the nearest
+    integer, which is exact, and r(y) = (-1)^{Mdelta+1} r(d) for y > 1/2:
+    taken at y itself, the rounding of pi y just below 1 leaves no correct
+    digit (|r| = 1.26 at y = 1 - 2^-53, Mdelta = 6). |r| is taken before
+    np.where: taken after it, the peak memory of g_bound's table grows by
+    one table.
     """
     if Mdelta < 2:
         raise ValueError("Mdelta must be >= 2")
     y = np.mod(np.asarray(x, dtype=np.float64), 1.0)
-    num = np.sin(np.pi * Mdelta * y)
-    den = np.sin(np.pi * y)
+    d = np.minimum(y, 1.0 - y)
+    num = np.sin(np.pi * Mdelta * d)
+    den = np.sin(np.pi * d)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = num / (Mdelta * den)
     if magnitude:
         ratio = np.abs(ratio)
+    elif Mdelta % 2 == 0:
+        ratio = np.where(y > 0.5, -ratio, ratio)
     return y, np.where(den == 0.0, 1.0, ratio)
 
 
@@ -207,9 +216,10 @@ def fk_eval(cantor: CantorSet, x):
 class ExpSumBounds:
     """Two-sided bracket of the window supremum G, plus optional S_k grid value.
 
-    G_grid <= true G <= G_upper; S_k_grid is a grid lower estimate of S_k.
-    lipschitz_f1 = pi (Mdelta - 1) is the derivative bound behind both
-    slack terms.
+    G_grid <= true G <= G_upper, both read off one table of |F_1| at the
+    outer_points = P samples j * outer_step of a period (see g_bound);
+    S_k_grid is a grid lower estimate of S_k. lipschitz_f1 = pi (Mdelta - 1)
+    is the derivative bound behind G_upper's half-step slack.
     """
 
     M: int
@@ -219,54 +229,103 @@ class ExpSumBounds:
     G_grid: float
     G_upper: float
     outer_points: int
-    inner_points: int
     outer_step: float
-    inner_step: float
     lipschitz_f1: float
     k: int | None = None
     S_k_grid: float | None = None
 
 
-def g_bound(M: int, Mdelta: int, alpha, outer_grid: int = 200_000,
-            inner_grid: int = 64) -> ExpSumBounds:
+def _check_outer_grid(M: int, Mdelta: int, alpha: Fraction, outer_grid: int) -> None:
+    """Refuse a table size g_bound cannot use, before any work.
+
+    The table has P = outer_grid entries, so P is capped at G_TABLE_MAX
+    (CapacityError). It must also put a sample in every window of width
+    w = alpha Mdelta / M^2, which needs P >= 1/w; a coarser P raises
+    ValueError naming the smallest admissible one.
+    """
+    if outer_grid > G_TABLE_MAX:
+        raise CapacityError(f"outer_grid = {outer_grid} exceeds the |F_1| table "
+                            f"budget {G_TABLE_MAX}")
+    least = math.ceil(M * M / (alpha * Mdelta))
+    if outer_grid < least:
+        raise ValueError(f"grids too coarse: outer_grid must be at least {least} "
+                         "to put a sample in every window")
+
+
+def _cyclic_window_max(f: np.ndarray, n: int) -> np.ndarray:
+    """W_i = max_{i <= j < i + n} f_{j mod P} for every i in Z_P.
+
+    van Herk / Gil-Werman: cut the cyclically extended table into blocks of
+    n; W_i is the larger of the suffix maximum of i's block from i and the
+    prefix maximum of the next block up to i + n - 1. Three passes,
+    whatever n is.
+    """
+    P = f.size
+    n = min(n, P)
+    blocks = -(-(P + n - 1) // n)
+    g = np.resize(f, blocks * n).reshape(blocks, n)  # np.resize repeats f
+    prefix = np.maximum.accumulate(g, axis=1).ravel()
+    suffix = np.maximum.accumulate(g[:, ::-1], axis=1)[:, ::-1].ravel()
+    return np.maximum(suffix[:P], prefix[n - 1:n - 1 + P])
+
+
+def _max_shifted_sum(terms) -> float:
+    """max_i sum over (t, s) in terms of t_{(i + s) mod P}."""
+    acc = 0.0
+    for t, s in terms:
+        acc = acc + np.roll(t, -s)
+    return float(acc.max())
+
+
+def g_bound(M: int, Mdelta: int, alpha, outer_grid: int = 200_000) -> ExpSumBounds:
     """Certified bracket of
     G = M^{-(1-delta)} sup_x sum_{a < Mdelta} sup over the window
-    [x + (alpha/M) a, x + (alpha/M) a + alpha Mdelta / M^2] of |F_1|.
+    [x + (alpha/M) a, x + (alpha/M) a + w] of |F_1|, w = alpha Mdelta / M^2.
 
-    Outer sup over one period on a uniform grid, inner sups on small grids;
-    both get half-step derivative slack, and each inner sup is capped at the
-    trivial bound 1 before summing.
+    |F_1| is sampled once, f_j = |F_1(j h)| for j in Z_P with P = outer_grid
+    and h = 1/P; both ends of the bracket are cyclic sliding-window maxima
+    of that table summed over Mdelta shifted copies. Every integer below
+    (window lengths and shifts) is computed exactly with Fraction, so a
+    non-dyadic M rounds on the safe side.
+
+    Upper. Let m = ceil(w P) + 1. A window [y, y + w] with floor(y P) = j0
+    has each point t within h/2 of a sample, and that sample's index lies
+    in [j0, j0 + m]: t P < j0 + 1 + w P, so floor(t P) + 1 <= j0 + m. With
+    |F_1'| <= pi (Mdelta - 1), the window sup is at most
+    U_{j0} = min(1, max_{j0 <= j <= j0 + m} f_j + pi (Mdelta - 1) h / 2).
+    Every x lies in a cell [i h, (i + 1) h), and then
+    floor((x + alpha a / M) P) is i + s_a or i + s_a + 1 with
+    s_a = floor(alpha a P / M). So
+    G <= (Mdelta/M) max_i sum_a max(U_{i+s_a}, U_{i+s_a+1}) = G_upper,
+    where max(U_j, U_{j+1}) is one window of m + 2 samples. The outer grid
+    needs no slack of its own.
+
+    Lower. At x = i h the window of a holds exactly the samples j with
+    j - i in [lo_a, hi_a] = [ceil(alpha a P / M), floor((alpha a / M + w) P)],
+    so G_grid = (Mdelta/M) max_i sum_a max_{lo_a <= t <= hi_a} f_{i+t} <= G.
+    The counts hi_a - lo_a + 1 take at most two values, one sliding maximum
+    each.
     """
     if Mdelta < 2 or Mdelta > M:
         raise ValueError("need 2 <= Mdelta <= M")
-    if outer_grid < 8 or inner_grid < 2:
-        raise ValueError("grids too coarse")
     alpha = Fraction(alpha)
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
-    L = Mdelta
-    af = float(alpha)
-    width = af * L / (M * M)
-    eta = af * np.arange(L) / M
-    s = np.linspace(0.0, width, inner_grid)
-    h_in = width / (inner_grid - 1)
-    h_out = 1.0 / outer_grid
+    _check_outer_grid(M, Mdelta, alpha, outer_grid)
+    L, P = Mdelta, outer_grid
+    w = alpha * L / (M * M)
+    offsets = [alpha * a / M for a in range(L)]
+    h = 1.0 / P
     lip = math.pi * (L - 1)
-    best_grid = 0.0
-    best_cert = 0.0
-    chunk = max(1, 2**21 // (L * inner_grid))
-    for start in range(0, outer_grid, chunk):
-        x = np.arange(start, min(start + chunk, outer_grid)) * h_out
-        t = x[:, None, None] + eta[None, :, None] + s[None, None, :]
-        sup = f1_abs(L, t).max(axis=2)  # (chunk, L) inner grid sups
-        best_grid = max(best_grid, float(sup.sum(axis=1).max()))
-        capped = np.minimum(sup + lip * h_in / 2, 1.0)
-        best_cert = max(best_cert, float(capped.sum(axis=1).max()))
-    g_grid = (L / M) * best_grid
-    g_upper = (L / M) * min(best_cert + L * lip * h_out / 2, float(L))
+    f = f1_abs(L, np.arange(P) / P)
+    lo = [math.ceil(c * P) for c in offsets]
+    counts = [math.floor((c + w) * P) - l + 1 for c, l in zip(offsets, lo)]
+    inside = {n: _cyclic_window_max(f, n) for n in set(counts)}
+    g_grid = _max_shifted_sum((inside[n], l) for n, l in zip(counts, lo))
+    upper = np.minimum(_cyclic_window_max(f, math.ceil(w * P) + 3) + lip * h / 2, 1.0)
+    g_upper = _max_shifted_sum((upper, math.floor(c * P)) for c in offsets)
     return ExpSumBounds(M, Mdelta, alpha, math.log(L) / math.log(M),
-                        g_grid, g_upper, outer_grid, inner_grid,
-                        h_out, h_in, lip)
+                        (L / M) * g_grid, (L / M) * g_upper, P, h, lip)
 
 
 def sk_estimate(cantor: CantorSet, alpha, grid: int = 4096) -> float:
@@ -347,11 +406,13 @@ def theorem2_report(M: int, Mdelta: int, k: int, alpha, eps: float = 0.0,
     if Mdelta * Mdelta > M:
         raise ValueError("initial alphabets require Mdelta^2 <= M (delta <= 1/2)")
     alpha = Fraction(alpha)
-    # the FFT budget is checked before C_k is built; dilate checks the rest
-    # (1 <= alpha < M, M | N), so an alpha below 1 counts as 1 here
+    # the FFT budget and g_bound's table are checked before C_k is built;
+    # dilate checks the rest (1 <= alpha < M, M | N), so an alpha below 1
+    # counts as 1 here
     if max(alpha, 1) * M**k > 2**24:
         raise CapacityError(f"N = {alpha * M**k} exceeds the FFT budget 2^24")
     alphabet = build_alphabet_initial(M, Mdelta)
+    _check_outer_grid(M, Mdelta, max(alpha, 1), outer_grid)
     cantor = cantor_elements(alphabet, k)
     dil = dilate(cantor, alpha)
     N = dil.N

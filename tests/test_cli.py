@@ -220,6 +220,18 @@ def test_unknown_method_fails_before_any_work(capsys):
     assert "unknown method 'foo'" in capsys.readouterr().err
 
 
+def test_oversized_outer_grid_fails_before_any_work(tmp_path, capsys):
+    t0 = time.perf_counter()
+    assert main(["theorem2", "--M", "16", "--Mdelta", "4", "--k", "1",
+                 "--alpha", "5", "--outer-grid", "1000000000"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "exceeds the |F_1| table budget" in capsys.readouterr().err
+    record = run_sweep(SweepSpec("theorem2", {"M": 16, "Mdelta": 4, "k": 1, "alpha": 5,
+                                              "outer_grid": [2000, 1000000000]},
+                                 out_dir=str(tmp_path)))
+    assert [r["status"] for r in record.rows] == ["ok", "skipped"]
+
+
 def test_sweep_flags_win_over_the_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"command": "dirichlet", "tol": 1e-6, "seed": 3,

@@ -6,12 +6,14 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from fup.cantor import (Alphabet, CapacityError, build_alphabet_initial,
                         cantor_elements, dilate)
-from fup.diophantine import (best_rational, canonical_dilation, f1_abs,
-                             f1_eval, f1_sup, fk_eval, g_bound, sk_estimate,
-                             theorem2_report)
+from fup.diophantine import (G_TABLE_MAX, best_rational, canonical_dilation,
+                             f1_abs, f1_eval, f1_sup, fk_eval, g_bound,
+                             sk_estimate, theorem2_report)
 from fup.serialize import sanitize
 
 RNG = np.random.default_rng(31)
@@ -127,6 +129,15 @@ def test_f1_derivative_bound():
     assert slope <= math.pi * (L - 1) * (1 + 1e-4)
 
 
+def test_f1_accurate_next_to_integers():
+    # x - 1 or x - 3 within a few ulp of 0: |F_1| is 1 to rounding
+    xs = np.array([1 - 2.0**-53, 1 - 2.0**-40, 1 + 2.0**-52, 3 - 2.0**-51, 2.0**-60])
+    for L in range(2, 9):
+        direct = np.exp(-2j * np.pi * np.outer(xs, np.arange(L))).mean(axis=1)
+        assert np.max(np.abs(f1_eval(L, xs) - direct)) < 1e-12
+        assert np.all(f1_abs(L, xs) <= 1.0)
+
+
 def test_f1_sup_brackets_refined_maximum():
     L = 5
     lo, hi = 0.13, 0.18
@@ -175,11 +186,11 @@ def test_fk_capacity():
 
 
 def test_g_bound_bracket_and_validation():
-    b = g_bound(16, 4, Fraction(3, 2), outer_grid=5_000, inner_grid=16)
+    b = g_bound(16, 4, Fraction(3, 2), outer_grid=5_000)
     assert 0 < b.G_grid <= b.G_upper
     assert b.G_upper <= 4 * (4 / 16) + 1e-12  # trivial cap L * (L/M)
     assert b.delta == pytest.approx(0.5)
-    fine = g_bound(16, 4, Fraction(3, 2), outer_grid=40_000, inner_grid=32)
+    fine = g_bound(16, 4, Fraction(3, 2), outer_grid=40_000)
     # certified upper bounds shrink under refinement, grid values grow
     assert fine.G_upper <= b.G_upper + 1e-12
     assert fine.G_grid >= b.G_grid - 1e-12
@@ -193,7 +204,7 @@ def test_g_bound_bracket_and_validation():
 
 def test_g_bound_independent_window_oracle():
     M, L, alpha = 9, 3, Fraction(2)
-    b = g_bound(M, L, alpha, outer_grid=20_000, inner_grid=24)
+    b = g_bound(M, L, alpha, outer_grid=20_000)
     width = float(alpha) * L / M**2
     xs = RNG.uniform(0, 1, 400)
     worst = 0.0
@@ -204,6 +215,88 @@ def test_g_bound_independent_window_oracle():
             total += float(np.max(f1_abs(L, np.linspace(lo, lo + width, 200))))
         worst = max(worst, total)
     assert (L / M) * worst <= b.G_upper + 1e-9
+
+
+def reference_g_bracket(M, L, alpha, outer_grid, inner_grid=16):
+    """(G_grid, G_upper) by the inner-grid route: every outer grid point x,
+    each window sampled at inner_grid points, half-step derivative slack on
+    both grids. Costs outer_grid * L * inner_grid evaluations of |F_1|."""
+    af = float(alpha)
+    width = af * L / (M * M)
+    eta = af * np.arange(L) / M
+    s = np.linspace(0.0, width, inner_grid)
+    h_in = width / (inner_grid - 1)
+    h_out = 1.0 / outer_grid
+    lip = math.pi * (L - 1)
+    best_grid = best_cert = 0.0
+    chunk = max(1, 2**21 // (L * inner_grid))
+    for start in range(0, outer_grid, chunk):
+        x = np.arange(start, min(start + chunk, outer_grid)) * h_out
+        sup = f1_abs(L, x[:, None, None] + eta[None, :, None] + s[None, None, :]).max(axis=2)
+        best_grid = max(best_grid, float(sup.sum(axis=1).max()))
+        capped = np.minimum(sup + lip * h_in / 2, 1.0)
+        best_cert = max(best_cert, float(capped.sum(axis=1).max()))
+    return ((L / M) * best_grid,
+            (L / M) * min(best_cert + L * lip * h_out / 2, float(L)))
+
+
+@st.composite
+def g_cases(draw):
+    M = draw(st.integers(4, 40))
+    L = draw(st.integers(2, min(M, 8)))
+    r = draw(st.integers(1, 4))
+    alpha = Fraction(draw(st.integers(r, M * r - 1)), r)
+    least = math.ceil(M * M / (alpha * L))
+    return M, L, alpha, draw(st.integers(max(500, least), 8000))
+
+
+@given(g_cases())
+@example((9, 3, Fraction(2), 1000))       # shifts alpha a P / M round
+@example((25, 5, Fraction(7, 2), 3001))
+@example((16, 4, Fraction(11, 3), 2000))
+@example((6, 6, Fraction(1), 500))        # reference samples land 1e-16 below 1
+def test_g_bound_brackets_against_inner_grid_reference(case):
+    M, L, alpha, P = case
+    ref_grid, ref_upper = reference_g_bracket(M, L, alpha, P)
+    b = g_bound(M, L, alpha, outer_grid=P)
+    assert ref_grid <= b.G_upper + 1e-12
+    assert b.G_grid <= ref_upper + 1e-12
+    assert b.G_grid <= b.G_upper
+
+
+# (G_grid, G_upper) of the inner-grid route at the default outer grid
+INNER_GRID_ROUTE = {
+    16: [(0.9065772991817498, 0.9077696083936121), (0.8017617068044547, 0.8035383896497973),
+         (0.6360819574864902, 0.6390281465384668), (0.6159534418863876, 0.6221138850631517)],
+    64: [(0.8815238843926554, 0.8819197468836235), (0.7544892136238012, 0.7550555184245342),
+         (0.35005697953000625, 0.3516033698925807), (0.2904402495288863, 0.29288141973703513)],
+}
+
+
+def test_g_bound_tightens_inner_grid_route_in_time():
+    t0 = time.perf_counter()
+    for M, rows in INNER_GRID_ROUTE.items():
+        alphas = (Fraction(1), Fraction(3, 2), Fraction(5), Fraction(7))
+        for (old_grid, old_upper), alpha in zip(rows, alphas):
+            b = g_bound(M, math.isqrt(M), alpha)
+            assert old_grid <= b.G_upper <= old_upper, (M, alpha)
+    assert time.perf_counter() - t0 < 3.0
+
+
+def test_g_bound_refuses_unusable_tables_before_work():
+    # M^2 / (alpha Mdelta) = 256 / 20 = 12.8: 13 samples put one in every window
+    b = g_bound(16, 4, 5, outer_grid=13)
+    assert 0 < b.G_grid <= b.G_upper
+    with pytest.raises(ValueError, match="at least 13"):
+        g_bound(16, 4, 5, outer_grid=12)
+    t0 = time.monotonic()
+    with pytest.raises(CapacityError):
+        g_bound(16, 4, 5, outer_grid=G_TABLE_MAX + 1)
+    with pytest.raises(CapacityError):
+        theorem2_report(16, 4, 1, 5, outer_grid=10**9)
+    with pytest.raises(ValueError, match="at least 64"):
+        theorem2_report(16, 4, 1, 1, outer_grid=63)
+    assert time.monotonic() - t0 < 1.0
 
 
 def test_sk_estimate_below_g_power():
