@@ -21,8 +21,7 @@ from .testfn import (ConvolutionChain, SeedFunction, Theorem1Report,
                      verify_tail_bound, z_certificate)
 from .diophantine import (ExpSumBounds, RationalApprox, Theorem2Report,
                           best_rational, canonical_dilation, f1_abs, f1_eval,
-                          f1_sup, fk_eval, g_bound, sk_estimate,
-                          theorem2_report)
+                          fk_eval, g_bound, sk_estimate, theorem2_report)
 from .baker import (BakerMap, CutoffProfile, GelfandReport, bump_profile,
                     gelfand_bound, make_cutoff, sharp_profile)
 from .sweep import RunRecord, SweepSpec, run_sweep
@@ -41,7 +40,7 @@ __all__ = [
     "indicator_seed", "symbol_eval", "theorem1_certificate",
     "verify_product_formula", "verify_tail_bound", "z_certificate",
     "ExpSumBounds", "RationalApprox", "Theorem2Report", "best_rational",
-    "canonical_dilation", "f1_abs", "f1_eval", "f1_sup", "fk_eval", "g_bound",
+    "canonical_dilation", "f1_abs", "f1_eval", "fk_eval", "g_bound",
     "sk_estimate", "theorem2_report",
     "BakerMap", "CutoffProfile", "GelfandReport", "bump_profile", "gelfand_bound", "make_cutoff", "sharp_profile",
     "RunRecord", "SweepSpec", "run_sweep",

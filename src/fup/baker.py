@@ -20,9 +20,8 @@ import numpy as np
 
 from .cantor import Alphabet, CapacityError
 from .diophantine import best_rational, canonical_dilation
-from .spectral import ConvergenceError, lanczos_top, power_top
+from .spectral import FFT_BUDGET, ConvergenceError, lanczos_top, power_top
 
-BAKER_BUDGET = 2**24
 # norms below this have Gram eigenvalues < 1e-12, unresolvable in doubles
 NOISE_FLOOR = 1e-6
 
@@ -96,7 +95,7 @@ class BakerMap:
     def __init__(self, N: int, M: int, alphabet: Alphabet, cutoff: CutoffProfile):
         if M < 2 or N % M or N < M:
             raise ValueError("N must be a positive multiple of M")
-        if N > BAKER_BUDGET:
+        if N > FFT_BUDGET:
             raise CapacityError(f"N = {N} exceeds the FFT budget 2^24")
         if alphabet.M != M:
             raise ValueError("alphabet base must equal M")

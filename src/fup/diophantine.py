@@ -26,8 +26,8 @@ import numpy as np
 
 from .cantor import (CantorSet, CapacityError, build_alphabet_initial,
                      cantor_elements, dilate)
-from .spectral import (FupExponentReport, NormCertificate, beta_dilated,
-                       masked_norm, shaped_like)
+from .spectral import (FFT_BUDGET, FupExponentReport, NormCertificate,
+                       beta_dilated, masked_norm, shaped_like)
 
 SK_MAX_K = 4
 SK_MAX_ELEMENTS = 4096
@@ -164,34 +164,6 @@ def f1_eval(Mdelta: int, x):
 def f1_abs(Mdelta: int, x):
     """|F_1(x)|, the same closed form without the phase."""
     return _dirichlet_ratio(Mdelta, x, magnitude=True)[1]
-
-
-def f1_sup(Mdelta: int, lo: float, hi: float, grid: int = 64) -> tuple[float, float]:
-    """(grid sup, certified sup) of |F_1| over [lo, hi].
-
-    |F_1'| <= pi (Mdelta - 1), so the grid maximum plus half-step slack
-    encloses the true supremum; the trivial bound 1 caps the result.
-    """
-    if hi < lo:
-        raise ValueError("empty interval")
-    if hi == lo or grid < 2:
-        v = float(f1_abs(Mdelta, lo))
-        return v, v
-    vals = f1_abs(Mdelta, np.linspace(lo, hi, grid))
-    g = float(vals.max())
-    slack = math.pi * (Mdelta - 1) * (hi - lo) / (grid - 1) / 2
-    return g, min(g + slack, 1.0)
-
-
-def _alphabet_abs(letters: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """| |A|^{-1} sum_{a in A} e^{-2 pi i a x} | for a general letter set."""
-    L = letters.size
-    if np.array_equal(letters, np.arange(L)):
-        return f1_abs(L, x)
-    acc = np.zeros(x.shape, dtype=np.complex128)
-    for a in letters:
-        acc += np.exp((-2j * np.pi * a) * x)
-    return np.abs(acc) / L
 
 
 def fk_eval(cantor: CantorSet, x):
@@ -337,6 +309,9 @@ def sk_estimate(cantor: CantorSet, alpha, grid: int = 4096) -> float:
     """
     if cantor.alpha != 1:
         raise ValueError("sk_estimate takes the undilated C_k; alpha is its own argument")
+    L = cantor.alphabet.size
+    if cantor.alphabet.letters != tuple(range(L)):
+        raise ValueError("sk_estimate takes an initial alphabet {0, ..., Mdelta - 1}")
     if cantor.k > SK_MAX_K:
         raise CapacityError(f"sk_estimate limited to k <= {SK_MAX_K}")
     elems = cantor.elements.astype(np.float64)
@@ -346,18 +321,17 @@ def sk_estimate(cantor: CantorSet, alpha, grid: int = 4096) -> float:
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
     M, k = cantor.alphabet.M, cantor.k
-    letters = np.array(cantor.alphabet.letters)
     offs = float(alpha) * elems / float(M**k)
     best = 0.0
     chunk = max(1, 2**20 // elems.size)
     for s0 in range(0, grid, chunk):
         x = np.arange(s0, min(s0 + chunk, grid), dtype=np.float64) / grid
         t = x[:, None] + offs[None, :]
-        acc = _alphabet_abs(letters, t)
+        acc = f1_abs(L, t)
         for r in range(1, k):
-            acc = acc * _alphabet_abs(letters, t * float(M**r))
+            acc = acc * f1_abs(L, t * float(M**r))
         best = max(best, float(acc.sum(axis=1).max()))
-    return (letters.size / M) ** k * best
+    return (L / M) ** k * best
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +383,7 @@ def theorem2_report(M: int, Mdelta: int, k: int, alpha, eps: float = 0.0,
     # the FFT budget and g_bound's table are checked before C_k is built;
     # dilate checks the rest (1 <= alpha < M, M | N), so an alpha below 1
     # counts as 1 here
-    if max(alpha, 1) * M**k > 2**24:
+    if max(alpha, 1) * M**k > FFT_BUDGET:
         raise CapacityError(f"N = {alpha * M**k} exceeds the FFT budget 2^24")
     alphabet = build_alphabet_initial(M, Mdelta)
     _check_outer_grid(M, Mdelta, max(alpha, 1), outer_grid)

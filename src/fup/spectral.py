@@ -10,21 +10,26 @@ and seed.
 The Gram runs on one of two routes, which give the same operator:
 
 - FFT: scatter into Z_N, N-point FFT, gather X, scatter, inverse FFT,
-  gather Y. Cost O(N log N) per application, for any masks.
-- Digit-pruned transform (FFT pruning, Markel 1971), for X = Y = C_k
-  undilated (alpha = 1) with N = M^k. Write W_{n_0} for the depth-(j-1)
-  transform of the subsequence of words with lowest digit n_0 in A, m =
-  m_low + M^{j-1} m_top with m_low in C_{j-1} and m_top in A, F_A[a, b] =
-  e^{-2 pi i ab/M} and tw_j[a, m_low] = e^{-2 pi i a m_low/M^j}. Then
+  gather Y. Cost O(N log N) per application, for any masks, and N is
+  capped at FFT_BUDGET.
+- Digit-pruned transform (FFT pruning, Markel 1971), for X = Y = alpha C_k
+  with an integer alpha and N = alpha M^k, whose entries are
+  e^{-2 pi i alpha xy/M^k} for x, y in C_k. Write W_{n_0} for the
+  depth-(j-1) transform of the subsequence of words with lowest digit n_0
+  in A, m = m_low + M^{j-1} m_top with m_low in C_{j-1} and m_top in A,
+  F_A[a, b] = e^{-2 pi i alpha ab/M} and
+  tw_j[a, m_low] = e^{-2 pi i alpha a m_low/M^j}. Since alpha is an
+  integer, alpha m_top times the higher digits of a column is too, so
       output(m_low + M^{j-1} m_top)
           = sum_{n_0 in A} F_A[m_top, n_0] tw_j[n_0, m_low] W_{n_0}(m_low),
-  so after one digit-reversal permutation, k stages of |A| x |A| blocks
+  and after one digit-reversal permutation, k stages of |A| x |A| blocks
   give the transform at cost O(k |A|^{k+1}), and every intermediate has
   |A|^k entries. The submatrix is symmetric, so its adjoint is
   conj o F o conj.
 
 masked_gram_apply takes the pruned route when it applies and its cost
-k |A|^{k+1} is below N; otherwise the FFT route.
+k |A|^{k+1} is below N; otherwise the FFT route. Rational alpha, X != Y
+and plain index lists always take the FFT route.
 """
 from __future__ import annotations
 
@@ -48,6 +53,8 @@ POWER_BLOCK = 8
 DEFAULT_TOL = 1e-10
 DEFAULT_SEED = 0
 DENSE_ENTRY_BUDGET = 2**24
+# largest N the FFT route, the baker propagator and the dense chain allocate
+FFT_BUDGET = 2**24
 
 
 class ConvergenceError(RuntimeError):
@@ -94,10 +101,13 @@ def dft_submatrix(X, Y, N: int) -> np.ndarray:
 
 def masked_gram_apply(X, Y, N: int):
     """Matrix-free v -> 1_Y F* 1_X F 1_Y v on C^{|Y|}, coordinates in
-    increasing order of Y; the route is picked as in the module docstring."""
-    if (isinstance(X, CantorSet) and X == Y and X.alpha == 1 and N == X.N
-            and X.k * X.alphabet.size ** (X.k + 1) < N):
-        return _pruned_gram_apply(X.alphabet, X.k)
+    increasing order of Y; the route is picked as in the module docstring,
+    and the FFT route refuses N above FFT_BUDGET before building a mask."""
+    if (isinstance(X, CantorSet) and X == Y and X.alpha.denominator == 1
+            and N == X.N and X.k * X.alphabet.size ** (X.k + 1) < N):
+        return _pruned_gram_apply(X)
+    if N > FFT_BUDGET:
+        raise CapacityError(f"N = {N} exceeds the FFT budget 2^24")
     Xi = _as_indices(X, N, "X")
     Yi = _as_indices(Y, N, "Y")
 
@@ -112,20 +122,23 @@ def masked_gram_apply(X, Y, N: int):
     return apply, Yi.size
 
 
-def _pruned_gram_apply(alphabet: Alphabet, k: int):
-    """Gram of the masked DFT on C_k x C_k, N = M^k, by the digit-pruned
-    transform of the module docstring."""
-    M = alphabet.M
-    A = np.asarray(alphabet.letters, dtype=np.int64)
+def _pruned_gram_apply(X: CantorSet):
+    """Gram of the masked DFT on X x X, X = alpha C_k with an integer alpha
+    and N = alpha M^k, by the digit-pruned transform of the module
+    docstring."""
+    M, k, alpha = X.alphabet.M, X.k, X.alpha.numerator
+    A = np.asarray(X.alphabet.letters, dtype=np.int64)
     L = A.size
-    FA = np.exp((-2j * np.pi / M) * np.outer(A, A))
+    FA = np.exp((-2j * np.pi / M) * np.outer((alpha * A) % M, A))
     # reading the words' digits lowest first gives the stage-0 order
     reverse = np.arange(L**k).reshape((L,) * k).T.reshape(-1)
     twiddles = []
     low = np.zeros(1, dtype=np.int64)  # C_0, sorted
     for j in range(1, k + 1):
-        # a * m_low < M^j is exact in int64, so each phase is in [0, 2 pi)
-        twiddles.append(np.exp((-2j * np.pi / M**j) * np.outer(A, low)))
+        # alpha * a * m_low < alpha M^j <= N <= 2^53 is exact in int64, and
+        # the mod (a no-op at alpha = 1) puts each phase in [0, 2 pi)
+        phase = (alpha * np.outer(A, low)) % M**j
+        twiddles.append(np.exp((-2j * np.pi / M**j) * phase))
         low = (low + M ** (j - 1) * A[:, None]).reshape(-1)
 
     def transform(x):
@@ -136,7 +149,7 @@ def _pruned_gram_apply(alphabet: Alphabet, k: int):
 
     def apply(v):
         w = transform(np.asarray(v, dtype=np.complex128))
-        return np.conj(transform(np.conj(w))) / M**k
+        return np.conj(transform(np.conj(w))) / X.N
 
     return apply, L**k
 

@@ -24,10 +24,9 @@ import numpy as np
 
 from .cantor import (Alphabet, CantorSet, CapacityError,
                      build_alphabet_interval, cantor_elements)
-from .spectral import (NORM_METHODS, FupExponentReport, NormCertificate, beta_k,
-                       masked_norm, shaped_like)
+from .spectral import (FFT_BUDGET, NORM_METHODS, FupExponentReport, NormCertificate,
+                       beta_k, masked_norm, shaped_like)
 
-DENSE_CHAIN_BUDGET = 2**24
 PRODUCT_CHECK_BUDGET = 2**20
 # 1 - x/2 >= e^{-x} fails past x ~ 1.5936; stay strictly inside
 EXP_STEP_MAX = 1.59
@@ -162,7 +161,7 @@ def convolution_chain(seed: SeedFunction, k: int) -> ConvolutionChain:
         raise ValueError("k must be >= 1")
     M = seed.M
     N = M**k
-    if N > DENSE_CHAIN_BUDGET:
+    if N > FFT_BUDGET:
         raise CapacityError(f"dense chain of length {N} exceeds budget 2^24")
     cantor = cantor_elements(seed.alphabet, k)
     fvals = seed.values[np.array(seed.alphabet.letters)]
@@ -366,7 +365,7 @@ def theorem1_certificate(M: int, delta: float, k: int,
     chain_rhs = z_lo**k
     sigma_lower = z_lo ** (k / 2)
     chain_lhs = None
-    if M**k <= DENSE_CHAIN_BUDGET:
+    if M**k <= FFT_BUDGET:
         chain = convolution_chain(fn, k)
         spectrum = np.fft.fft(chain.u, norm="ortho")
         chain_lhs = float(np.sum(np.abs(spectrum[cantor.elements]) ** 2))

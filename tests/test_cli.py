@@ -232,6 +232,34 @@ def test_oversized_outer_grid_fails_before_any_work(tmp_path, capsys):
     assert [r["status"] for r in record.rows] == ["ok", "skipped"]
 
 
+def test_fft_route_refuses_large_N_before_any_work(tmp_path, capsys):
+    # rational alpha and dense alphabets stay on the FFT route, which
+    # would ask for arrays of N = 2.5e7 and 2.7e8 complex entries
+    for argv in (["beta", "--M", "16", "--alphabet", "initial:4", "--k", "6",
+                  "--alpha", "3/2"],
+                 ["norm", "--M", "16", "--alphabet", "interval:0.9", "--k", "7"]):
+        t0 = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert "exceeds the FFT budget 2^24" in capsys.readouterr().err
+    record = run_sweep(SweepSpec("beta", {"M": 16, "alphabet": "initial:4",
+                                          "k": [2, 7], "alpha": "3/2"},
+                                 out_dir=str(tmp_path)))
+    assert [r["status"] for r in record.rows] == ["ok", "skipped"]
+
+
+def test_integer_dilation_reaches_deep_k(capsys):
+    # N = 5 * 16^8 = 2.1e10: the pruned route never leaves the 4^8 points
+    t0 = time.perf_counter()
+    d = _run_json(capsys, ["beta", "--M", "16", "--alphabet", "initial:4",
+                           "--k", "8", "--alpha", "5"])
+    assert time.perf_counter() - t0 < 10.0
+    ex = d["exponents"]
+    assert ex["N"] == 5 * 16**8
+    assert ex["lower_theory"] <= ex["beta_k"] <= ex["upper_theory"]
+    assert ex["beta_k"] == pytest.approx(0.14486, abs=1e-5)
+
+
 def test_sweep_flags_win_over_the_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"command": "dirichlet", "tol": 1e-6, "seed": 3,

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from fup.cantor import (Alphabet, CapacityError, build_alphabet_initial,
                         cantor_elements, dilate)
 from fup.diophantine import (G_TABLE_MAX, best_rational, canonical_dilation,
-                             f1_abs, f1_eval, f1_sup, fk_eval, g_bound,
-                             sk_estimate, theorem2_report)
+                             f1_abs, f1_eval, fk_eval, g_bound, sk_estimate,
+                             theorem2_report)
 from fup.serialize import sanitize
 
 RNG = np.random.default_rng(31)
@@ -136,20 +136,6 @@ def test_f1_accurate_next_to_integers():
         direct = np.exp(-2j * np.pi * np.outer(xs, np.arange(L))).mean(axis=1)
         assert np.max(np.abs(f1_eval(L, xs) - direct)) < 1e-12
         assert np.all(f1_abs(L, xs) <= 1.0)
-
-
-def test_f1_sup_brackets_refined_maximum():
-    L = 5
-    lo, hi = 0.13, 0.18
-    grid_sup, cert = f1_sup(L, lo, hi, grid=32)
-    assert grid_sup <= cert <= 1.0
-    fine = float(np.max(f1_abs(L, np.linspace(lo, hi, 100_000))))
-    assert grid_sup <= fine + 1e-12
-    assert fine <= cert + 1e-12
-    v, c = f1_sup(L, 0.25, 0.25)
-    assert v == c == pytest.approx(float(f1_abs(L, 0.25)))
-    with pytest.raises(ValueError):
-        f1_sup(L, 0.3, 0.2)
 
 
 def test_fk_recursion_and_product_form():
@@ -317,6 +303,8 @@ def test_sk_estimate_caps():
         sk_estimate(big, 1)
     with pytest.raises(ValueError):  # takes C_k and alpha, not C_k(N)
         sk_estimate(dilate(cantor_elements(a, 2), 2), 2)
+    with pytest.raises(ValueError):  # initial alphabets only
+        sk_estimate(cantor_elements(Alphabet(4, (0, 3)), 2), 1)
 
 
 def test_theorem2_report_structure():

@@ -83,19 +83,22 @@ def _digit_sets(draw):
     letters = tuple(sorted(draw(st.sets(st.integers(0, M - 1), min_size=1))))
     # keep the dense oracle at most 729 x 729
     k_max = max(k for k in range(1, 6) if len(letters) ** k <= 729)
-    return Alphabet(M, letters), draw(st.integers(1, k_max))
+    return Alphabet(M, letters), draw(st.integers(1, k_max)), draw(st.integers(1, M - 1))
 
 
 @given(_digit_sets())
-@example((Alphabet(9, tuple(range(9))), 3))
-@example((Alphabet(7, (3,)), 5))
-@example((Alphabet(5, (1, 2, 3)), 4))
+@example((Alphabet(9, tuple(range(9))), 3, 1))
+@example((Alphabet(7, (3,)), 5, 1))
+@example((Alphabet(5, (1, 2, 3)), 4, 1))
+@example((Alphabet(7, (3,)), 5, 6))
+@example((Alphabet(5, (1, 2, 3)), 4, 3))
+@example((Alphabet(16, (0, 1, 2, 3)), 3, 5))
 def test_pruned_gram_matches_dense(case):
-    alphabet, k = case
-    c = cantor_elements(alphabet, k)
-    A = dft_submatrix(c, c, alphabet.M**k)
-    apply, dim = _pruned_gram_apply(alphabet, k)
-    assert dim == len(c.elements)
+    alphabet, k, alpha = case
+    d = dilate(cantor_elements(alphabet, k), alpha)
+    A = dft_submatrix(d, d, d.N)
+    apply, dim = _pruned_gram_apply(d)
+    assert dim == len(d.elements)
     rng = np.random.default_rng(k)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     assert np.max(np.abs(apply(v) - A.conj().T @ (A @ v))) < 1e-12
@@ -106,26 +109,30 @@ def test_gram_route_choice(monkeypatch):
     c = cantor_elements(Alphabet(3, (0, 2)), 8)
     calls = []
 
-    def spy(alphabet, k):
-        calls.append((alphabet, k))
-        return _pruned_gram_apply(alphabet, k)
+    def spy(X):
+        calls.append(X)
+        return _pruned_gram_apply(X)
 
     monkeypatch.setattr(fup.spectral, "_pruned_gram_apply", spy)
     pruned, _ = masked_gram_apply(c, c, 3**8)
-    assert calls == [(c.alphabet, 8)]
+    assert calls == [c]
     fft, _ = masked_gram_apply(list(c.elements), list(c.elements), 3**8)
     v = RNG.standard_normal(256) + 1j * RNG.standard_normal(256)
     assert np.max(np.abs(pruned(v) - fft(v))) < 1e-12
-    other = cantor_elements(Alphabet(3, (0, 1)), 8)
+    # integer dilations factor digit by digit too
     d = dilate(c, Fraction(2))
-    for X, Y, N in [(d, d, d.N), (c, other, 3**8), (other, c, 3**8),
-                    (c, c, 3**9), (c, list(c.elements), 3**8)]:
+    masked_gram_apply(d, d, d.N)
+    assert calls == [c, d]
+    other = cantor_elements(Alphabet(3, (0, 1)), 8)
+    rational = dilate(c, Fraction(4, 3))  # N = 8748
+    for X, Y, N in [(rational, rational, rational.N), (c, other, 3**8),
+                    (other, c, 3**8), (c, c, 3**9), (c, list(c.elements), 3**8)]:
         masked_gram_apply(X, Y, N)
-    assert len(calls) == 1
+    assert len(calls) == 2
     # small sets stay on the FFT route by the cost rule
     small = cantor_elements(Alphabet(3, (0, 2)), 4)
     masked_gram_apply(small, small, 81)
-    assert len(calls) == 1
+    assert len(calls) == 2
 
 
 def test_pruned_route_reaches_deep_k():
