@@ -8,12 +8,12 @@ integer multiple of M gives the set C_k(N) = {ceil(alpha * j) : j in C_k}
 inside Z_N.
 
 One type covers the whole family: a CantorSet is (alphabet, k, alpha), with
-alpha = 1 for C_k itself, and its elements are built from those three only
-when a caller reads them. Everything here is exact: elements are a sorted
-int64 array (every index is below N <= 2^53), dilation factors are
-`fractions.Fraction` and the ceilings are taken in integer arithmetic, and
-delta is recomputed from (|A|, M) on demand rather than stored as a rounded
-float.
+alpha = 1 for C_k itself. Its constructors check only that indices are exact
+(N <= 2^53); its elements are built only when first read, and that read
+refuses more than 2^26 of them. Everything here is exact: elements are a
+sorted int64 array, dilation factors are `fractions.Fraction` and the
+ceilings are taken in integer arithmetic, and delta is recomputed from
+(|A|, M) on demand rather than stored as a rounded float.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ CAPACITY = 2**53
 
 
 class CapacityError(ValueError):
-    """M^k (or an element count) exceeds the exact-integer budget."""
+    """A size exceeds the budget of the code that would allocate or index it."""
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,8 @@ class CantorSet:
     @cached_property
     def elements(self) -> np.ndarray:
         """The |A|^k elements, sorted, as a read-only int64 array."""
+        if self.alphabet.size**self.k > 2**26:
+            raise CapacityError(f"|A|^k = {self.alphabet.size}^{self.k} elements is too large")
         A = np.asarray(self.alphabet.letters, dtype=np.int64)
         # prefix * M + letter keeps the words sorted at every stage
         e = np.zeros(1, dtype=np.int64)
@@ -132,8 +134,6 @@ def cantor_elements(alphabet: Alphabet, k: int) -> CantorSet:
     M = alphabet.M
     if M**k > CAPACITY:
         raise CapacityError(f"M^k = {M}^{k} exceeds the 2^53 index budget")
-    if len(alphabet.letters) ** k > 2**26:
-        raise CapacityError(f"|A|^k = {len(alphabet.letters)}^{k} elements is too large")
     return CantorSet(alphabet, k)
 
 

@@ -26,11 +26,11 @@ import numpy as np
 
 from .cantor import (CantorSet, CapacityError, build_alphabet_initial,
                      cantor_elements, dilate)
-from .spectral import (FFT_BUDGET, FupExponentReport, NormCertificate,
-                       beta_dilated, masked_norm, shaped_like)
+from .spectral import (FupExponentReport, NormCertificate, beta_dilated,
+                       masked_norm, shaped_like)
 
 SK_MAX_K = 4
-SK_MAX_ELEMENTS = 4096
+SK_MAX_ELEMENTS = 512
 G_TABLE_MAX = 2**22  # |F_1| samples per period in g_bound's table
 
 
@@ -173,9 +173,9 @@ def fk_eval(cantor: CantorSet, x):
     the elements; the factored recursion F_k(x) = F_1(x) F_{k-1}(M x) is
     what tests verify against this.
     """
-    elems = cantor.elements.astype(np.float64)
-    if elems.size > 2**16:
+    if cantor.alphabet.size**cantor.k > 2**16:
         raise CapacityError("direct F_k evaluation limited to |C_k| <= 65536")
+    elems = cantor.elements.astype(np.float64)
     xs = np.atleast_1d(np.asarray(x, dtype=np.float64)).ravel()
     out = np.empty(xs.size, dtype=np.complex128)
     chunk = max(1, 2**20 // elems.size)
@@ -314,9 +314,9 @@ def sk_estimate(cantor: CantorSet, alpha, grid: int = 4096) -> float:
         raise ValueError("sk_estimate takes an initial alphabet {0, ..., Mdelta - 1}")
     if cantor.k > SK_MAX_K:
         raise CapacityError(f"sk_estimate limited to k <= {SK_MAX_K}")
-    elems = cantor.elements.astype(np.float64)
-    if elems.size > SK_MAX_ELEMENTS:
+    if L**cantor.k > SK_MAX_ELEMENTS:
         raise CapacityError(f"sk_estimate limited to |C_k| <= {SK_MAX_ELEMENTS}")
+    elems = cantor.elements.astype(np.float64)
     alpha = Fraction(alpha)
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
@@ -375,20 +375,15 @@ def theorem2_report(M: int, Mdelta: int, k: int, alpha, eps: float = 0.0,
     exponent beta_k(N), the best rational approximation to alpha/M and its
     gamma, the G bracket with the 12 Mdelta/M (Mdelta/q + log q) comparison,
     and the implied constant of sigma^2 <= C alpha G^k. S_k is attached when
-    C_k is small enough to sweep.
+    sk_estimate accepts C_k.
     """
     if Mdelta * Mdelta > M:
         raise ValueError("initial alphabets require Mdelta^2 <= M (delta <= 1/2)")
     alpha = Fraction(alpha)
-    # the FFT budget and g_bound's table are checked before C_k is built;
-    # dilate checks the rest (1 <= alpha < M, M | N), so an alpha below 1
-    # counts as 1 here
-    if max(alpha, 1) * M**k > FFT_BUDGET:
-        raise CapacityError(f"N = {alpha * M**k} exceeds the FFT budget 2^24")
     alphabet = build_alphabet_initial(M, Mdelta)
-    _check_outer_grid(M, Mdelta, max(alpha, 1), outer_grid)
     cantor = cantor_elements(alphabet, k)
     dil = dilate(cantor, alpha)
+    _check_outer_grid(M, Mdelta, alpha, outer_grid)
     N = dil.N
     cert = masked_norm(dil, dil, N, tol=tol, seed=seed, method=method)
     rep = beta_dilated(cert, dil)
@@ -396,10 +391,9 @@ def theorem2_report(M: int, Mdelta: int, k: int, alpha, eps: float = 0.0,
     delta = alphabet.delta
     target_raw = 0.5 - delta + ra.gamma / 2
     bounds = g_bound(M, Mdelta, alpha, outer_grid=outer_grid)
-    if k <= SK_MAX_K and alphabet.size**k <= 512:
-        bounds = replace(bounds, k=k,
-                         S_k_grid=sk_estimate(cantor, alpha, grid=sk_grid))
-    else:
+    try:
+        bounds = replace(bounds, k=k, S_k_grid=sk_estimate(cantor, alpha, grid=sk_grid))
+    except CapacityError:
         bounds = replace(bounds, k=k)
     prop_rhs = 12.0 * Mdelta / M * (Mdelta / ra.q + math.log(ra.q))
     c_fit = cert.sigma_max**2 / (float(alpha) * bounds.G_upper**k)

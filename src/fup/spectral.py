@@ -7,7 +7,8 @@ Jacobi SVD provides the independent oracle route for modest sizes. Every
 result ships as a certificate carrying method, iteration count, residual,
 and seed.
 
-The Gram runs on one of two routes, which give the same operator:
+The Gram runs on one of two routes, which give the same operator; each
+refuses an input above its own budget before it builds anything:
 
 - FFT: scatter into Z_N, N-point FFT, gather X, scatter, inverse FFT,
   gather Y. Cost O(N log N) per application, for any masks, and N is
@@ -24,8 +25,8 @@ The Gram runs on one of two routes, which give the same operator:
           = sum_{n_0 in A} F_A[m_top, n_0] tw_j[n_0, m_low] W_{n_0}(m_low),
   and after one digit-reversal permutation, k stages of |A| x |A| blocks
   give the transform at cost O(k |A|^{k+1}), and every intermediate has
-  |A|^k entries. The submatrix is symmetric, so its adjoint is
-  conj o F o conj.
+  |A|^k entries, capped at PRUNED_BUDGET. The submatrix is symmetric, so
+  its adjoint is conj o F o conj.
 
 masked_gram_apply takes the pruned route when it applies and its cost
 k |A|^{k+1} is below N; otherwise the FFT route. Rational alpha, X != Y
@@ -55,6 +56,7 @@ DEFAULT_SEED = 0
 DENSE_ENTRY_BUDGET = 2**24
 # largest N the FFT route, the baker propagator and the dense chain allocate
 FFT_BUDGET = 2**24
+PRUNED_BUDGET = 2**22  # most points |A|^k the pruned route transforms
 
 
 class ConvergenceError(RuntimeError):
@@ -96,13 +98,15 @@ def dft_submatrix(X, Y, N: int) -> np.ndarray:
     Yi = _as_indices(Y, N, "Y")
     if Xi.size * Yi.size > DENSE_ENTRY_BUDGET:
         raise CapacityError(f"dense submatrix {Xi.size} x {Yi.size} too large")
-    return np.exp((-2j * np.pi / N) * np.outer(Xi, Yi)) / np.sqrt(N)
+    # x y mod N exactly: x y rounds as a double past 2^53, wraps in int64 past 2^63
+    phase = (np.outer(Xi.astype(object), Yi.astype(object)) % N).astype(np.float64)
+    return np.exp((-2j * np.pi / N) * phase) / np.sqrt(N)
 
 
 def masked_gram_apply(X, Y, N: int):
     """Matrix-free v -> 1_Y F* 1_X F 1_Y v on C^{|Y|}, coordinates in
-    increasing order of Y; the route is picked as in the module docstring,
-    and the FFT route refuses N above FFT_BUDGET before building a mask."""
+    increasing order of Y, by the route of the module docstring; before any
+    work the FFT route refuses N > FFT_BUDGET, the pruned |A|^k > PRUNED_BUDGET."""
     if (isinstance(X, CantorSet) and X == Y and X.alpha.denominator == 1
             and N == X.N and X.k * X.alphabet.size ** (X.k + 1) < N):
         return _pruned_gram_apply(X)
@@ -126,6 +130,8 @@ def _pruned_gram_apply(X: CantorSet):
     """Gram of the masked DFT on X x X, X = alpha C_k with an integer alpha
     and N = alpha M^k, by the digit-pruned transform of the module
     docstring."""
+    if X.alphabet.size**X.k > PRUNED_BUDGET:
+        raise CapacityError(f"|A|^k = {X.alphabet.size}^{X.k} exceeds the pruned budget 2^22")
     M, k, alpha = X.alphabet.M, X.k, X.alpha.numerator
     A = np.asarray(X.alphabet.letters, dtype=np.int64)
     L = A.size

@@ -260,6 +260,34 @@ def test_integer_dilation_reaches_deep_k(capsys):
     assert ex["beta_k"] == pytest.approx(0.14486, abs=1e-5)
 
 
+def test_pruned_route_refuses_large_sets_before_any_work(tmp_path, capsys):
+    # 4^12 and 2^23 points: the first 16 Lanczos rows alone would take 4 GiB
+    for argv in (["beta", "--M", "16", "--alphabet", "initial:4", "--k", "12",
+                  "--alpha", "5"],
+                 ["norm", "--M", "4", "--alphabet", "0,3", "--k", "23"]):
+        t0 = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert "pruned budget" in capsys.readouterr().err
+    record = run_sweep(SweepSpec("beta", {"M": 16, "alphabet": "initial:4",
+                                          "k": [8, 12], "alpha": 5},
+                                 out_dir=str(tmp_path)))
+    assert [r["status"] for r in record.rows] == ["ok", "skipped"]
+
+
+def test_theorem2_reaches_deep_k(capsys):
+    # N = 5 * 16^8 = 2.1e10: the report's norm is fup beta's, bit for bit
+    t0 = time.perf_counter()
+    d = _run_json(capsys, ["theorem2", "--M", "16", "--Mdelta", "4", "--k", "8",
+                           "--alpha", "5"])
+    assert time.perf_counter() - t0 < 10.0
+    beta = _run_json(capsys, ["beta", "--M", "16", "--alphabet", "initial:4",
+                              "--k", "8", "--alpha", "5"])
+    assert d["exponents"]["beta_k"] == beta["exponents"]["beta_k"]
+    assert d["exponents"]["beta_k"] == pytest.approx(0.1448642750850855, abs=1e-12)
+    assert d["bounds"]["S_k_grid"] is None
+
+
 def test_sweep_flags_win_over_the_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"command": "dirichlet", "tol": 1e-6, "seed": 3,

@@ -167,8 +167,10 @@ def test_fk_general_alphabet():
 
 def test_fk_capacity():
     a = build_alphabet_initial(4, 2)
+    c = cantor_elements(a, 17)
     with pytest.raises(CapacityError):
-        fk_eval(cantor_elements(a, 17), 0.1)  # 2^17 elements
+        fk_eval(c, 0.1)  # 2^17 elements
+    assert "elements" not in vars(c)
 
 
 def test_g_bound_bracket_and_validation():
@@ -301,6 +303,7 @@ def test_sk_estimate_caps():
         big = cantor_elements(build_alphabet_initial(9, 9), 4)
     with pytest.raises(CapacityError):
         sk_estimate(big, 1)
+    assert "elements" not in vars(big)
     with pytest.raises(ValueError):  # takes C_k and alpha, not C_k(N)
         sk_estimate(dilate(cantor_elements(a, 2), 2), 2)
     with pytest.raises(ValueError):  # initial alphabets only
@@ -332,14 +335,14 @@ def test_theorem2_refusals():
     with pytest.raises(ValueError):
         theorem2_report(16, 4, 1, Fraction(16))
     with pytest.raises(CapacityError):
-        theorem2_report(16, 4, 7, Fraction(1))  # N = 16^7 > 2^24
+        theorem2_report(16, 4, 7, Fraction(3, 2))  # FFT route, N = 4.0e8 > 2^24
 
 
-def test_theorem2_refuses_large_N_before_building_C_k():
-    # 5 * 16^12 > 2^24 while C_12 holds 4^12 = 2^24 elements; alpha = 1/2 is
-    # refused by dilate, but only after C_k, so the budget covers it too
-    for alpha in (Fraction(5), Fraction(1, 2)):
+def test_theorem2_refuses_large_N_before_any_work():
+    # alpha = 5 runs pruned, whose budget refuses the 4^12 points of C_12;
+    # dilate refuses alpha = 1/2, and builds nothing either way
+    for alpha, error in ((Fraction(5), CapacityError), (Fraction(1, 2), ValueError)):
         t0 = time.monotonic()
-        with pytest.raises(CapacityError):
+        with pytest.raises(error):
             theorem2_report(16, 4, 12, alpha)
         assert time.monotonic() - t0 < 1.0

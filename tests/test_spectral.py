@@ -65,6 +65,15 @@ def test_dft_submatrix_entries():
         dft_submatrix(range(2**13), range(2**13), 2**14)
 
 
+def test_dft_submatrix_exact_phases_at_large_N():
+    # N = 5 * 16^9 = 3.4e11: products x y of the dilated elements pass 2^63
+    d = dilate(cantor_elements(Alphabet(16, (0, 1)), 9), 5)
+    X, N = d.elements.tolist(), d.N
+    ref = np.array([[np.exp(-2j * math.pi * ((x * y) % N) / N) for y in X] for x in X])
+    A = dft_submatrix(d, d, N)
+    assert np.max(np.abs(A - ref / math.sqrt(N))) < 1e-12 / math.sqrt(N)
+
+
 def test_masked_gram_matches_dense():
     N = 24
     X = [0, 5, 6, 11, 17]
