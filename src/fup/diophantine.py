@@ -323,7 +323,8 @@ def sk_estimate(cantor: CantorSet, alpha, grid: int = 4096) -> float:
     M, k = cantor.alphabet.M, cantor.k
     offs = float(alpha) * elems / float(M**k)
     best = 0.0
-    chunk = max(1, 2**20 // elems.size)
+    # 2^16 points per chunk keep t and its products near 1 MB each
+    chunk = max(1, 2**16 // elems.size)
     for s0 in range(0, grid, chunk):
         x = np.arange(s0, min(s0 + chunk, grid), dtype=np.float64) / grid
         t = x[:, None] + offs[None, :]

@@ -93,11 +93,13 @@ def _as_indices(S, N: int, name: str) -> np.ndarray:
 
 
 def dft_submatrix(X, Y, N: int) -> np.ndarray:
-    """Dense submatrix of F_N with rows X and columns Y."""
+    """Dense submatrix of F_N with rows X and columns Y; the size is
+    checked before a Cantor set's elements are built."""
+    nx, ny = (S.alphabet.size**S.k if isinstance(S, CantorSet) else len(S) for S in (X, Y))
+    if nx * ny > DENSE_ENTRY_BUDGET:
+        raise CapacityError(f"dense submatrix {nx} x {ny} too large")
     Xi = _as_indices(X, N, "X")
     Yi = _as_indices(Y, N, "Y")
-    if Xi.size * Yi.size > DENSE_ENTRY_BUDGET:
-        raise CapacityError(f"dense submatrix {Xi.size} x {Yi.size} too large")
     # x y mod N exactly: x y rounds as a double past 2^53, wraps in int64 past 2^63
     phase = (np.outer(Xi.astype(object), Yi.astype(object)) % N).astype(np.float64)
     return np.exp((-2j * np.pi / N) * phase) / np.sqrt(N)

@@ -12,7 +12,9 @@ and the masked norm of the Cantor-set submatrix is bounded below by powers of
 
 Z is a trigonometric polynomial in y, so a uniform grid plus a derivative
 bound gives a rigorous (up to floating point) lower enclosure rather than a
-heuristic minimum. All grid sweeps are vectorized through batched FFTs.
+heuristic minimum. Each band mass is a trigonometric polynomial of degree
+below the support span of f, so a grid sweep costs one complex exponential
+and one Horner pass per point, with an a-priori rounding bound.
 """
 from __future__ import annotations
 
@@ -30,9 +32,8 @@ from .spectral import (FFT_BUDGET, NORM_METHODS, FupExponentReport, NormCertific
 PRODUCT_CHECK_BUDGET = 2**20
 # 1 - x/2 >= e^{-x} fails past x ~ 1.5936; stay strictly inside
 EXP_STEP_MAX = 1.59
-# grid points per chunk of symbol_eval and band_masses
+# grid points per chunk of symbol_eval
 SYMBOL_CHUNK = 8192
-BAND_CHUNK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,26 +117,67 @@ def symbol_eval(seed: SeedFunction, x):
 
 
 def band_masses(seed: SeedFunction, letters, y) -> np.ndarray:
-    """sum_{l in letters} |G_f(l/M + y)|^2 evaluated at each offset y.
+    """sum_{l in S} |G_f(l/M + y)|^2 at each offset y, S = letters.
 
-    For fixed y the values G_f(l/M + y) over all residues l are one ortho
-    DFT of m -> f(m) e^{-2 pi i m y}, so a y-grid becomes a batched FFT.
+    Expanding |G_f(x)|^2 = M^{-1} sum_{|d| < D} a_d e^{-2 pi i d x} with the
+    lags a_d = sum_m f(m + d) conj f(m), a_{-d} = conj a_d, over the support
+    span [lo, hi], D = hi - lo + 1, and summing over x = l/M + y gives
+
+        band(y) = Re sum_{0 <= d < D} c_d z^d,   z = e^{-2 pi i y},
+        c_0 = a_0 S^(0) / M,   c_d = 2 a_d S^(d) / M,
+        S^(d) = sum_{l in S} e^{-2 pi i ((d l) mod M) / M},
+
+    a polynomial of degree below D evaluated by Horner's rule: one complex
+    exponential and D - 1 multiply-adds per point.
+
+    Rounding, for |y| <= 2 and u = eps/2 (Higham 2002, sections 3.6 and
+    5.1). With A_d = sum_m |f(m + d)| |f(m)| and sum_{d in Z} A_d =
+    ||f||_1^2, the coefficients satisfy sum_d |c_d| <= W = (|S|/M) ||f||_1^2.
+    The lags are off by (D + 2) u A_d, each entry of the table
+    e^{-2 pi i r/M} by 18u and each S^(d) by (|S| + 21) u |S|, and forming
+    c_d costs 5u more: (D + |S| + 28) u W for all coefficients together.
+    The computed z is within 21u of e^{-2 pi i y}, which moves z^d by at
+    most 21 d u, and each Horner step (a complex product and a sum) adds
+    (2 sqrt 2 + 1) u < 4u relative to the terms accumulated so far:
+    25 (D - 1) u W. In all (26 D + |S| + 3) u W to first order, below
+    band_rounding's 32 (D + |S|) u W = 16 eps (D + |S|) (|S|/M) ||f||_1^2
+    with room for the higher-order terms.
     """
     M = seed.M
     idx = np.asarray(sorted({int(l) for l in letters}), dtype=np.int64)
     if idx.size and (idx[0] < 0 or idx[-1] >= M):
         raise ValueError("letters must lie in [0, M)")
     ys = np.atleast_1d(np.asarray(y, dtype=np.float64)).ravel()
-    m = np.arange(M, dtype=np.float64)
     out = np.zeros(ys.size)
     if idx.size:
-        for s in range(0, ys.size, BAND_CHUNK):
-            rows = seed.values[None, :] * np.exp(-2j * np.pi * np.outer(ys[s:s + BAND_CHUNK], m))
-            spec = np.fft.fft(rows, axis=1, norm="ortho")
-            out[s:s + BAND_CHUNK] = (np.abs(spec[:, idx]) ** 2).sum(axis=1)
+        supp = seed.support
+        f = seed.values[supp[0]:supp[-1] + 1]
+        D = f.size
+        lags = np.correlate(f, f, "full")[D - 1:]
+        d = np.arange(D, dtype=np.int64)
+        table = np.exp((-2j * np.pi / M) * np.arange(M))
+        spec = np.zeros(D, dtype=np.complex128)
+        for l in idx:
+            spec += table[(d * l) % M]
+        c = lags * spec * (2.0 / M)
+        c[0] /= 2
+        z = np.exp(-2j * np.pi * ys)
+        acc = np.full(ys.size, c[-1])
+        for cd in c[-2::-1]:
+            acc *= z
+            acc += cd
+        out = acc.real
     if np.ndim(y) == 0:
         return out  # length-1 array; callers index or reduce
     return out.reshape(np.shape(y))
+
+
+def band_rounding(seed: SeedFunction, size: int) -> float:
+    """Bound on the rounding error of band_masses(seed, S, y), |S| = size,
+    |y| <= 2: 16 eps (D + |S|) (|S|/M) ||f||_1^2, derived there."""
+    supp = seed.support
+    D = int(supp[-1] - supp[0]) + 1
+    return 16 * np.finfo(np.float64).eps * (D + size) * (size / seed.M) * seed.norm1**2
 
 
 @dataclass
@@ -225,8 +267,9 @@ def z_certificate(seed: SeedFunction, grid_points: int = 100_000) -> ZCertificat
     """Certified enclosure of Z(f) by grid minimization over [0, 1/M].
 
     The grid minimum overestimates the true minimum by at most half a step
-    times the derivative bound; subtracting that slack gives a true lower
-    bound on Z(f).
+    times the derivative bound, and the computed masses miss the exact ones
+    by at most band_rounding; subtracting both gives a true lower bound on
+    Z(f).
     """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
@@ -236,7 +279,8 @@ def z_certificate(seed: SeedFunction, grid_points: int = 100_000) -> ZCertificat
     h = (1.0 / M) / (grid_points - 1)
     lip = band_lipschitz(seed)
     zmin = float(masses.min())
-    return ZCertificate(zmin, zmin - lip * h / 2, h, lip)
+    slack = lip * h / 2 + band_rounding(seed, seed.alphabet.size)
+    return ZCertificate(zmin, zmin - slack, h, lip)
 
 
 def _tail_envelope(M: int, delta: float) -> float:
@@ -247,8 +291,9 @@ def verify_tail_bound(M: int, delta: float, y_samples: int = 20_001) -> tuple[fl
     """Worst-case off-band mass of the truncated Gaussian seed vs its envelope.
 
     Returns (lhs, rhs) with lhs a certified upper bound (grid maximum plus
-    Lipschitz slack) on max_{0<=y<=1/M} sum_{l not in alphabet}
-    |G_f(l/M + y)|^2, and rhs = (60/sqrt(M)) e^{-(pi/4) M^{2 delta - 1}}.
+    Lipschitz slack plus band_rounding) on
+    max_{0<=y<=1/M} sum_{l not in alphabet} |G_f(l/M + y)|^2, and
+    rhs = (60/sqrt(M)) e^{-(pi/4) M^{2 delta - 1}}.
     """
     alphabet = build_alphabet_interval(M, delta)
     seed = gaussian_seed(alphabet)
@@ -259,7 +304,7 @@ def verify_tail_bound(M: int, delta: float, y_samples: int = 20_001) -> tuple[fl
     y = np.linspace(0.0, 1.0 / M, y_samples)
     masses = band_masses(seed, rest, y)
     h = (1.0 / M) / (y_samples - 1)
-    lhs = float(masses.max()) + band_lipschitz(seed) * h / 2
+    lhs = float(masses.max()) + band_lipschitz(seed) * h / 2 + band_rounding(seed, len(rest))
     return lhs, rhs
 
 

@@ -11,7 +11,9 @@ import pytest
 
 import fup.cli
 import fup.sweep
+from fup.cantor import Alphabet, CapacityError, cantor_elements
 from fup.cli import build_parser, main
+from fup.spectral import masked_norm
 from fup.sweep import REQUIRED, SweepSpec, parameters, run_sweep
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -273,6 +275,19 @@ def test_pruned_route_refuses_large_sets_before_any_work(tmp_path, capsys):
                                           "k": [8, 12], "alpha": 5},
                                  out_dir=str(tmp_path)))
     assert [r["status"] for r in record.rows] == ["ok", "skipped"]
+
+
+def test_dense_route_refuses_large_sets_before_any_work(capsys):
+    # |X| |Y| = 4^24 entries; the 4^12 elements alone would take 128 MiB
+    t0 = time.perf_counter()
+    assert main(["norm", "--M", "16", "--alphabet", "initial:4", "--k", "12",
+                 "--alpha", "5", "--method", "dense-svd"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "dense submatrix 16777216 x 16777216 too large" in capsys.readouterr().err
+    c = cantor_elements(Alphabet(4, (0, 1, 2, 3)), 9)
+    with pytest.raises(CapacityError):
+        masked_norm(c, c, 4**9, method="dense-svd")
+    assert "elements" not in vars(c)
 
 
 def test_theorem2_reaches_deep_k(capsys):

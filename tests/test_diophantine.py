@@ -1,6 +1,7 @@
 """Rational approximation, exponential-sum brackets, and the dilated pipeline."""
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -308,6 +309,20 @@ def test_sk_estimate_caps():
         sk_estimate(dilate(cantor_elements(a, 2), 2), 2)
     with pytest.raises(ValueError):  # initial alphabets only
         sk_estimate(cantor_elements(Alphabet(4, (0, 3)), 2), 1)
+
+
+def test_sk_estimate_memory_stays_small():
+    # the 4096-point grid runs in chunks of 2^16 evaluation points
+    c = cantor_elements(build_alphabet_initial(16, 4), 4)
+    c.elements  # built before tracing: the peak is sk_estimate's own
+    tracemalloc.start()
+    try:
+        sk = sk_estimate(c, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sk == 0.1311363748280649
+    assert peak < 20 * 2**20
 
 
 def test_theorem2_report_structure():

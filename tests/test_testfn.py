@@ -1,13 +1,16 @@
 """Seed functions, convolution chains, and the certified band-mass bounds."""
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from fup.cantor import Alphabet, build_alphabet_interval, cantor_elements
 from fup.serialize import sanitize
 from fup.testfn import (EXP_STEP_MAX, SeedFunction, band_lipschitz,
-                        band_masses, convolution_chain,
+                        band_masses, band_rounding, convolution_chain,
                         gaussian_seed, gaussian_symbol, gaussian_symbol_theta,
                         indicator_seed, symbol_eval, theorem1_certificate,
                         verify_product_formula, verify_tail_bound,
@@ -88,6 +91,95 @@ def test_band_masses_against_loop():
     with pytest.raises(ValueError):
         band_masses(f, [8], 0.0)
     assert band_masses(f, letters, 0.1).shape == (1,)
+
+
+def _seed(M, support, rng):
+    vals = np.zeros(M, dtype=complex)
+    vals[support] = rng.standard_normal(len(support)) + 1j * rng.standard_normal(len(support))
+    return SeedFunction(Alphabet(M, tuple(support)), vals)
+
+
+@st.composite
+def band_cases(draw):
+    """A random complex seed on a random support (gaps included, sometimes
+    touching both 0 and M - 1), a random letter set, possibly empty, and
+    offsets either random in [-2, 2] or on a linspace grid."""
+    M = draw(st.integers(2, 64))
+    support = draw(st.sets(st.integers(0, M - 1), min_size=1))
+    if draw(st.booleans()):
+        support |= {0, M - 1}
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    letters = sorted(draw(st.sets(st.integers(0, M - 1))))
+    if draw(st.booleans()):
+        y = rng.uniform(-2.0, 2.0, draw(st.integers(1, 40)))
+    else:
+        a, b = sorted(draw(st.tuples(st.floats(-2, 2), st.floats(-2, 2))))
+        y = np.linspace(a, b, draw(st.integers(2, 200)))
+    return _seed(M, sorted(support), rng), letters, y
+
+
+# the pi of the extended-precision reference, to 36 digits
+PI_LD = np.longdouble("3.14159265358979323846264338327950288")
+
+
+@given(band_cases())
+@example((_seed(7, [6], RNG), list(range(7)), np.linspace(-2, 2, 9)))
+@example((_seed(64, [0, 63], RNG), [0, 31, 63], np.linspace(0, 1 / 64, 101)))
+@example((_seed(2, [0, 1], RNG), [], np.array([0.5])))
+def test_band_masses_within_rounding_bound(case):
+    f, letters, y = case
+    M = f.M
+    got = band_masses(f, letters, y)
+    bound = band_rounding(f, len(letters))
+    G = symbol_eval(f, np.add.outer(y, np.asarray(letters, dtype=float) / M))
+    direct = (np.abs(G) ** 2).sum(axis=-1)
+    # the direct sum's own rounding: phases 2 pi m x with m < M, |x| <= 3
+    # are off by about 60 M u each, so each |G_f|^2 by 120 M u ||f||_1^2 / M
+    direct_rounding = 128 * np.finfo(float).eps * len(letters) * f.norm1**2
+    assert np.max(np.abs(got - direct), initial=0.0) <= bound + direct_rounding
+    if np.finfo(np.longdouble).nmant >= 63:
+        # the same sum in extended precision is exact to far below the bound
+        x = np.add.outer(y.astype(np.longdouble), np.asarray(letters, dtype=np.longdouble) / M)
+        phase = np.multiply.outer(x, np.arange(M, dtype=np.longdouble))
+        G = (np.exp(-2j * PI_LD * phase) @ f.values.astype(np.clongdouble)
+             / np.sqrt(np.longdouble(M)))
+        exact = (np.abs(G) ** 2).sum(axis=-1)
+        assert np.max(np.abs(got - exact), initial=0.0) <= bound
+
+
+def _fft_band_masses(seed, letters, y):
+    """The FFT formulation: for fixed y the values G_f(l/M + y) over all
+    residues l are one ortho DFT of m -> f(m) e^{-2 pi i m y}, so a y-grid
+    becomes a batched FFT, 4096 rows at a time."""
+    idx = sorted(letters)
+    m = np.arange(seed.M, dtype=np.float64)
+    out = np.zeros(y.size)
+    for s in range(0, y.size, 4096):
+        rows = seed.values[None, :] * np.exp(-2j * np.pi * np.outer(y[s:s + 4096], m))
+        spec = np.fft.fft(rows, axis=1, norm="ortho")
+        out[s:s + 4096] = (np.abs(spec[:, idx]) ** 2).sum(axis=1)
+    return out
+
+
+# the benchmark sweep's theorem1 points, M in {16, 32, 64} x delta in
+# {0.6, 0.75, 0.9} at k = 1 and four of them again at k = 2; band masses do
+# not depend on k
+@pytest.mark.parametrize("M", [16, 32, 64])
+@pytest.mark.parametrize("delta", [0.6, 0.75, 0.9])
+def test_band_masses_match_fft_formulation(M, delta):
+    f = gaussian_seed(build_alphabet_interval(M, delta)).normalized()
+    rest = sorted(set(range(M)) - set(f.alphabet.letters))
+    for letters, points in ((f.alphabet.letters, 100_000), (rest, 20_001)):
+        y = np.linspace(0.0, 1.0 / M, points)
+        assert np.max(np.abs(band_masses(f, letters, y) - _fft_band_masses(f, letters, y))) < 1e-14
+
+
+def test_z_certificate_is_fast_at_large_m():
+    f = gaussian_seed(build_alphabet_interval(256, 0.9)).normalized()
+    t0 = time.perf_counter()
+    zc = z_certificate(f)
+    assert time.perf_counter() - t0 < 0.5
+    assert zc.z_certified_lower <= zc.z_grid_min
 
 
 def test_chain_small_indicator():
