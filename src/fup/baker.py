@@ -9,6 +9,12 @@ rotated back by the inverse N-point DFT. Everything is applied matrix-free
 Spectral radius bounds come from norms of powers: ||B^n||^{1/n} >= rho for
 every n, so the minimum over a doubling schedule of n is a certified upper
 bound up to the quality of the norm estimates themselves.
+
+Each norm is found on the alphabet rows alone. Write R for the restriction
+of v.reshape(M, W) to its |A| alphabet rows. B reads only those rows and
+its adjoint writes zeros outside them, so B = B R^* R and B^* = R^* R B^*,
+hence (B^n)^* B^n = R^* R (B^n)^* B^n R^* R: the Gram of B^n vanishes off
+C^{|A| W}, and its top eigenpair is that of R (B^n)^* B^n R^* there.
 """
 from __future__ import annotations
 
@@ -160,7 +166,9 @@ def gelfand_bound(bmap: BakerMap, n_max: int = 64, tol: float = 1e-10,
     """Certified upper bound on the spectral radius of B.
 
     For n in the doubling schedule 1, 2, 4, ..., n_max the Gram operator of
-    B^n is driven to a top Ritz pair; ||B^n||^2 is upper-estimated by the
+    B^n, restricted to the |A| W alphabet rows (exact, by the identity
+    (B^n)^* B^n = R^* R (B^n)^* B^n R^* R of the module docstring), is
+    driven to a top Ritz pair; ||B^n||^2 is upper-estimated by the
     Rayleigh quotient plus its absolute residual, which covers the remaining
     gap once the iteration has locked onto the top cluster. A level that
     does not converge records the submultiplicative bound ||B^{n/2}||^2
@@ -185,6 +193,7 @@ def gelfand_bound(bmap: BakerMap, n_max: int = 64, tol: float = 1e-10,
     while n <= n_max:
         schedule.append(n)
         n *= 2
+    M, W, rows = bmap.M, bmap.N // bmap.M, bmap._rows
     powers = []
     diagnostics = []
     rho_upper = math.inf
@@ -201,9 +210,11 @@ def gelfand_bound(bmap: BakerMap, n_max: int = 64, tol: float = 1e-10,
             prev_upper = norm_upper
             continue
         def gram(v, _n=n):
-            return bmap.gram_apply(v, _n)
+            full = np.zeros((M, W), dtype=np.complex128)
+            full[rows] = v.reshape(-1, W)
+            return bmap.gram_apply(full.reshape(-1), _n).reshape(M, W)[rows].reshape(-1)
         try:
-            theta, _, its, res = engine(gram, bmap.N, tol, seed)
+            theta, _, its, res = engine(gram, rows.size * W, tol, seed)
             norm_upper = math.sqrt(max(theta, 0.0) * (1.0 + res))
             converged, source = True, "iteration"
         except ConvergenceError as err:

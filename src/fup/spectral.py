@@ -215,8 +215,16 @@ def lanczos_top(apply, dim: int, tol: float = 1e-10, seed: int = 0,
     """Largest eigenvalue of a Hermitian PSD operator by thick-restart
     Lanczos with full reorthogonalization.
 
-    Deterministic for fixed seed. Handles the near-degenerate top clusters of
-    masked-DFT Gram operators where plain power iteration stalls. Returns
+    Each step subtracts the couplings the projected matrix already holds
+    (alpha_j v_j and beta_{j-1} v_{j-1}, or the arrowhead column right after
+    a thick restart), then makes one classical Gram-Schmidt pass against the
+    whole basis, and a second only when the first shrank the vector below
+    1/sqrt(2) of its norm (Daniel, Gragg, Kaufman and Stewart, Math. Comp.
+    30, 1976): a pass that removes that little leaves it orthogonal to
+    working precision.
+
+    Deterministic for fixed seed. Handles the near-degenerate top clusters
+    of masked-DFT Gram operators where plain power iteration stalls. Returns
     (theta, vector, matvecs, residual) with residual = |A v - theta v| / theta
     measured by an explicit extra application. The basis starts with a few
     rows and doubles up to LANCZOS_NCV as the iteration needs them, so its
@@ -230,18 +238,28 @@ def lanczos_top(apply, dim: int, tol: float = 1e-10, seed: int = 0,
     V = np.zeros((min(ncv, 2 * LANCZOS_CHECK_EVERY), dim), dtype=np.complex128)
     V[0] = v
     T = np.zeros((ncv, ncv))
+
+    def orthogonalize(w, j):
+        # DGKS: one classical Gram-Schmidt pass, repeated once if it removed
+        # more than half of the squared norm; conj(V conj(w)) is V* w without
+        # a conjugated copy of the basis
+        norm = np.linalg.norm(w)
+        w = w - np.conj(V[: j + 1] @ np.conj(w)) @ V[: j + 1]
+        beta = float(np.linalg.norm(w))
+        if beta < norm / math.sqrt(2):
+            w = w - np.conj(V[: j + 1] @ np.conj(w)) @ V[: j + 1]
+            beta = float(np.linalg.norm(w))
+        return w, beta
+
     j = 0
+    first = 0  # first row of column j that T couples to
     matvecs = 0
     theta = 0.0
     while matvecs < max_matvecs:
         w = apply(V[j])
         matvecs += 1
         T[j, j] = float(np.vdot(V[j], w).real)
-        # full reorthogonalization, twice for stability; conj(V conj(w))
-        # is V* w without a conjugated copy of the basis
-        for _ in range(2):
-            w = w - np.conj(V[: j + 1] @ np.conj(w)) @ V[: j + 1]
-        beta = float(np.linalg.norm(w))
+        w, beta = orthogonalize(w - T[first : j + 1, j] @ V[first : j + 1], j)
         at_cap = j + 1 == ncv
         if (j + 1) % LANCZOS_CHECK_EVERY == 0 or at_cap or beta < 1e-14:
             evals, evecs = np.linalg.eigh(T[: j + 1, : j + 1])
@@ -259,10 +277,7 @@ def lanczos_top(apply, dim: int, tol: float = 1e-10, seed: int = 0,
             # invariant subspace found: start a fresh block with zero
             # coupling (a fabricated coupling would corrupt the Ritz values)
             coupling = 0.0
-            w = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            for _ in range(2):
-                w = w - np.conj(V[: j + 1] @ np.conj(w)) @ V[: j + 1]
-            beta = float(np.linalg.norm(w))
+            w, beta = orthogonalize(rng.standard_normal(dim) + 1j * rng.standard_normal(dim), j)
             if beta < 1e-14:
                 break  # basis spans the whole space
         if not at_cap:
@@ -272,6 +287,7 @@ def lanczos_top(apply, dim: int, tol: float = 1e-10, seed: int = 0,
                 grown[: j + 1] = V
                 V = grown
             V[j + 1] = w / beta
+            first = j
             j += 1
             continue
         # thick restart: keep the top Ritz vectors, arrowhead-couple them
@@ -283,6 +299,7 @@ def lanczos_top(apply, dim: int, tol: float = 1e-10, seed: int = 0,
         T[:, :] = 0.0
         T[:keep, :keep] = np.diag(evals[-keep:])
         T[keep, :keep] = T[:keep, keep] = coupling * S[-1, :]
+        first = 0
         j = keep
     evals, evecs = np.linalg.eigh(T[: j + 1, : j + 1])
     theta = float(evals[-1])

@@ -153,6 +153,30 @@ def test_gelfand_comparison_branch():
     assert rep2.comparison is None
 
 
+@pytest.mark.parametrize("N, M, letters, cutoff",
+                         [(81, 3, (0, 2), "bump"), (64, 4, (0, 3), "sharp")])
+def test_gelfand_powers_match_dense_oracle(monkeypatch, N, M, letters, cutoff):
+    # the levels run on the |A| N/M alphabet rows and must still give ||B^n||_2
+    bmap = BakerMap(N, M, Alphabet(M, letters), make_cutoff(cutoff, N // M))
+    B = np.column_stack([bmap.apply(e) for e in np.eye(N)])
+    dims = []
+    real_engine = fup.baker.lanczos_top
+
+    def engine(apply, dim, tol, seed):
+        dims.append(dim)
+        return real_engine(apply, dim, tol, seed)
+
+    monkeypatch.setattr(fup.baker, "lanczos_top", engine)
+    rep = gelfand_bound(bmap, n_max=64)
+    monkeypatch.undo()
+    iterated = [d["n"] for d in rep.diagnostics if d["source"] == "iteration"]
+    assert iterated and dims == [len(letters) * N // M] * len(iterated)
+    ups = dict(rep.powers)
+    for n in iterated:
+        exact = np.linalg.norm(np.linalg.matrix_power(B, n), 2)
+        assert abs(ups[n] - exact) <= 1e-9 * exact
+
+
 def test_gelfand_power_iteration_method():
     a = Alphabet(3, (0, 1, 2))
     rep = gelfand_bound(BakerMap(27, 3, a, sharp_profile(9)), n_max=2,

@@ -172,6 +172,32 @@ def test_lanczos_memory_follows_matvecs():
     assert peak < 64 * 2**20
 
 
+def test_lanczos_through_thick_restart():
+    # top pair split by 1e-8 above a bulk in [0.5, 1] that crowds toward it:
+    # Lanczos needs more than LANCZOS_NCV steps, so it restarts at least once.
+    # The isolated eigenvalue 0 converges within a few steps, after which a
+    # Lanczos basis without reorthogonalization loses orthogonality
+    dim = 1500
+    bulk = 1.0 - 0.5 * np.linspace(0.0, 1.0, dim - 2) ** 1.4
+    d = np.sort(np.concatenate([[0.0], bulk, [1.0 + 1e-8]]))
+    F = dft_matrix(dim)
+    exact = np.linalg.eigvalsh(F.conj().T @ (d[:, None] * F))[-1]
+    seen = []
+
+    def apply(v):
+        seen.append(v.copy())
+        return dft_apply(d * dft_apply(v), "adjoint")
+
+    tol = 1e-10
+    theta, x, matvecs, res = lanczos_top(apply, dim, tol)
+    V = np.array(seen[:64])
+    assert np.max(np.abs(V @ V.conj().T - np.eye(64))) <= 1e-12
+    assert matvecs > fup.spectral.LANCZOS_NCV
+    assert abs(theta - exact) <= 1e-12 * exact
+    assert res <= tol
+    assert np.linalg.norm(apply(x) - theta * x) <= tol * theta
+
+
 @pytest.mark.parametrize("shape", [(8, 8), (12, 7), (7, 12), (1, 5), (5, 1), (3, 3)])
 def test_jacobi_vs_lapack(shape):
     A = RNG.standard_normal(shape) + 1j * RNG.standard_normal(shape)
