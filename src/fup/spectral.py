@@ -31,6 +31,12 @@ refuses an input above its own budget before it builds anything:
 masked_gram_apply takes the pruned route when it applies and its cost
 k |A|^{k+1} is below N; otherwise the FFT route. Rational alpha, X != Y
 and plain index lists always take the FFT route.
+
+No route runs when |X| + |Y| > N: then the norm is 1 exactly (Donoho and
+Stark, SIAM J. Appl. Math. 49, 1989). The vectors supported on Y and the
+inverse transforms of the vectors supported on X span subspaces of C^N of
+dimensions |Y| and |X|, so they share a unit vector u, and |1_X F 1_Y u| = 1.
+Every reported norm is capped at 1, the norm of the unitary F.
 """
 from __future__ import annotations
 
@@ -90,6 +96,19 @@ def _as_indices(S, N: int, name: str) -> np.ndarray:
     if idx[0] < 0 or idx[-1] >= N:
         raise ValueError(f"{name} indices must lie in [0, {N})")
     return idx
+
+
+def _mask_size(S, N: int, name: str) -> int:
+    """|S| for a mask in Z_N, with the checks of _as_indices. A Cantor set is
+    counted from (alphabet, k), as ceil(alpha j) is injective for alpha >= 1,
+    and its largest element ceil(alpha a_max (M^k - 1)/(M - 1)) is checked
+    against N; its elements are never built."""
+    if not isinstance(S, CantorSet):
+        return _as_indices(S, N, name).size
+    M, p, r = S.alphabet.M, S.alpha.numerator, S.alpha.denominator
+    if -(-p * S.alphabet.letters[-1] * ((M**S.k - 1) // (M - 1)) // r) >= N:
+        raise ValueError(f"{name} indices must lie in [0, {N})")
+    return S.alphabet.size**S.k
 
 
 def dft_submatrix(X, Y, N: int) -> np.ndarray:
@@ -330,6 +349,8 @@ class NormCertificate:
     """Largest singular value of a masked DFT submatrix, with provenance.
 
     residual is |A* A v - sigma^2 v| / sigma^2 for the reported pair.
+    iterations == 0 with residual == 0.0 means the dimension count
+    |X| + |Y| > N decided sigma = 1 and no operator was built.
     """
 
     sigma_max: float
@@ -346,11 +367,19 @@ def masked_norm(X, Y, N: int, tol: float = DEFAULT_TOL,
     method "lanczos" (default) and "power-iteration" run matrix-free on the
     Gram operator with a seeded start; "dense-svd" builds the submatrix and
     runs one-sided Jacobi.
+
+    When |X| + |Y| > N, sigma = 1 exactly and no method runs: the vectors
+    supported on Y and F* of the vectors supported on X span subspaces of
+    dimensions |Y| + |X| > N in C^N, so they meet in a unit vector u with
+    |1_X F 1_Y u| = |F u| = 1. The masks are checked first, as every
+    route checks them.
     """
     if method not in NORM_METHODS:
         raise ValueError(f"unknown method {method!r}")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if _mask_size(X, N, "X") + _mask_size(Y, N, "Y") > N:
+        return NormCertificate(1.0, method, 0, 0.0, seed)
     if method == "dense-svd":
         A = dft_submatrix(X, Y, N)
         result = jacobi_svd(A, tol=min(tol, 1e-12))
@@ -362,11 +391,11 @@ def masked_norm(X, Y, N: int, tol: float = DEFAULT_TOL,
         v = A.conj().T @ u
         v /= np.linalg.norm(v)
         res = float(np.linalg.norm(A.conj().T @ (A @ v) - sigma**2 * v)) / sigma**2
-        return NormCertificate(sigma, "dense-svd", result.rotations, res, seed)
+        return NormCertificate(min(sigma, 1.0), "dense-svd", result.rotations, res, seed)
     apply, dim = masked_gram_apply(X, Y, N)
     engine = power_top if method == "power-iteration" else lanczos_top
     lam, _, its, res = engine(apply, dim, tol, seed)
-    return NormCertificate(math.sqrt(lam), method, its, res, seed)
+    return NormCertificate(min(math.sqrt(lam), 1.0), method, its, res, seed)
 
 
 def submatrix_norm_bounds(nX: int, nY: int, N: int) -> tuple[float, float]:
@@ -400,7 +429,8 @@ def beta_k(cert: NormCertificate, alphabet: Alphabet, k: int) -> FupExponentRepo
                          "norms of sets containing 0 cannot vanish)")
     M = alphabet.M
     delta = alphabet.delta
-    beta = -math.log(cert.sigma_max) / (k * math.log(M))
+    # 0.0 - x, not -x: sigma = 1 gives beta = 0.0 rather than -0.0
+    beta = 0.0 - math.log(cert.sigma_max) / (k * math.log(M))
     return FupExponentReport(M, k, M**k, delta, cert.sigma_max, beta,
                              max(0.0, 0.5 - delta), 0.5 - delta / 2)
 
@@ -416,7 +446,7 @@ def beta_dilated(cert: NormCertificate, dilated: CantorSet) -> FupExponentReport
         raise ValueError("sigma_max must be positive")
     alphabet = dilated.alphabet
     d_eff = math.log(alphabet.size**dilated.k) / math.log(dilated.N)
-    beta = -math.log(cert.sigma_max) / math.log(dilated.N)
+    beta = 0.0 - math.log(cert.sigma_max) / math.log(dilated.N)
     return FupExponentReport(alphabet.M, dilated.k, dilated.N, alphabet.delta,
                              cert.sigma_max, beta,
                              max(0.0, 0.5 - d_eff), 0.5 - d_eff / 2)

@@ -284,10 +284,29 @@ def test_dense_route_refuses_large_sets_before_any_work(capsys):
                  "--alpha", "5", "--method", "dense-svd"]) == 2
     assert time.perf_counter() - t0 < 1.0
     assert "dense submatrix 16777216 x 16777216 too large" in capsys.readouterr().err
-    c = cantor_elements(Alphabet(4, (0, 1, 2, 3)), 9)
+    # 3^9 points: |X| |Y| = 3.9e8 entries, and 2 * 3^9 < 4^9 leaves the norm open
+    c = cantor_elements(Alphabet(4, (0, 1, 2)), 9)
     with pytest.raises(CapacityError):
         masked_norm(c, c, 4**9, method="dense-svd")
     assert "elements" not in vars(c)
+    # the full alphabet has |X| + |Y| = 2N: the dimension count answers sigma = 1
+    full = cantor_elements(Alphabet(4, (0, 1, 2, 3)), 9)
+    cert = masked_norm(full, full, 4**9, method="dense-svd")
+    assert (cert.sigma_max, cert.method, cert.iterations, cert.residual) == \
+        (1.0, "dense-svd", 0, 0.0)
+    assert "elements" not in vars(full)
+
+
+def test_norm_one_by_dimension_count_needs_no_budget(capsys):
+    # N = 16^8 is past the FFT budget and the 15^8 elements past the 2^26
+    # an element read allows, but 2 * 15^8 > 16^8 decides sigma = 1
+    t0 = time.perf_counter()
+    with pytest.warns(UserWarning, match="delta > 1/2"):
+        d = _run_json(capsys, ["norm", "--M", "16", "--alphabet", "initial:15", "--k", "8"])
+    assert time.perf_counter() - t0 < 1.0
+    assert d["N"] == 16**8 and d["size"] == 15**8
+    assert d["norm"]["sigma_max"] == 1.0
+    assert d["norm"]["iterations"] == 0 and d["norm"]["residual"] == 0.0
 
 
 def test_theorem2_reaches_deep_k(capsys):

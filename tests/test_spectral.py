@@ -1,4 +1,5 @@
 """DFT layer, masked norms, and exponent reports against dense oracles."""
+import itertools
 import math
 import time
 import tracemalloc
@@ -14,9 +15,9 @@ from conftest import dft_matrix
 from fup.cantor import Alphabet, CapacityError, cantor_elements, dilate
 from fup.jacobi import jacobi_svd
 from fup.serialize import sanitize
-from fup.spectral import (ConvergenceError, _pruned_gram_apply, beta_dilated,
-                          beta_k, dft_apply, dft_submatrix, lanczos_top,
-                          masked_gram_apply, masked_norm, power_top,
+from fup.spectral import (NORM_METHODS, ConvergenceError, _pruned_gram_apply,
+                          beta_dilated, beta_k, dft_apply, dft_submatrix,
+                          lanczos_top, masked_gram_apply, masked_norm, power_top,
                           submatrix_norm_bounds)
 
 RNG = np.random.default_rng(1234)
@@ -265,6 +266,111 @@ def test_masked_norm_validation():
         masked_norm([4], [0], 4)
 
 
+def _norm_one_cases():
+    """Every alphabet with M <= 5 and k <= 3, undilated and dilated by 2 and
+    3/2 where dilate allows it, and X != Y index lists (with repeats)."""
+    for M in range(2, 6):
+        for size in range(1, M + 1):
+            for letters in itertools.combinations(range(M), size):
+                for k in (1, 2, 3):
+                    c = cantor_elements(Alphabet(M, letters), k)
+                    for alpha in (1, 2, Fraction(3, 2)):
+                        try:
+                            d = dilate(c, Fraction(alpha))
+                        except ValueError:
+                            continue
+                        yield d, d, d.N
+    rng = np.random.default_rng(16)
+    for N, nx, ny in [(12, 7, 6), (12, 6, 6), (16, 9, 8), (16, 3, 14), (25, 13, 13)]:
+        X = rng.choice(N, nx, replace=False)
+        Y = rng.choice(N, ny, replace=False)
+        yield list(X) + list(X[:2]), list(Y), N
+
+
+def _size(S):
+    return len(S.elements) if hasattr(S, "elements") else len(set(S))
+
+
+def test_norm_one_by_dimension_count_agrees_with_dense():
+    # an integer alpha >= 2 never fires: |A|^k + |A|^k <= 2 M^k <= alpha M^k
+    fired = []
+    for X, Y, N in _norm_one_cases():
+        ref = float(np.linalg.svd(dft_submatrix(X, Y, N), compute_uv=False)[0])
+        if _size(X) + _size(Y) <= N:
+            cert = masked_norm(X, Y, N)
+            assert cert.iterations >= 1
+            assert abs(cert.sigma_max - ref) < 1e-9
+            continue
+        fired.append(getattr(X, "alpha", None))
+        assert abs(ref - 1.0) <= 1e-12
+        for method in NORM_METHODS:
+            cert = masked_norm(X, Y, N, method=method)
+            assert (cert.sigma_max, cert.method, cert.iterations, cert.residual) == \
+                (1.0, method, 0, 0.0)
+    assert (fired.count(1), fired.count(Fraction(3, 2)), fired.count(None)) == (48, 4, 4)
+
+
+def test_norm_one_builds_no_operator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an operator was built")
+
+    for name in ("masked_gram_apply", "dft_submatrix", "jacobi_svd"):
+        monkeypatch.setattr(fup.spectral, name, refuse)
+    c = cantor_elements(Alphabet(8, (0, 1, 2, 3, 4, 5, 7)), 5)  # 2 * 7^5 > 8^5
+    d = dilate(cantor_elements(Alphabet(8, (1, 2, 3, 4, 5, 6, 7)), 4),
+               Fraction(9, 8))  # 2 * 7^4 > 4608
+    for method in NORM_METHODS:
+        assert masked_norm(c, c, c.N, method=method).sigma_max == 1.0
+        assert masked_norm(d, d, d.N, method=method).sigma_max == 1.0
+        assert masked_norm(list(range(5)), [0, 2, 4, 6], 8, method=method).iterations == 0
+    assert "elements" not in vars(c) and "elements" not in vars(d)
+
+
+def test_dimension_count_boundary_runs_the_solver():
+    # M = 4, X = Y = {0, 1}: |X| + |Y| = N, sigma = cos(pi/8) < 1
+    c = cantor_elements(Alphabet(4, (0, 1)), 1)
+    ref = math.cos(math.pi / 8)
+    for X in (c, [0, 1]):
+        for method in NORM_METHODS:
+            cert = masked_norm(X, X, 4, method=method)
+            assert cert.iterations >= 1
+            assert abs(cert.sigma_max - ref) < 1e-9
+
+
+def test_norm_capped_at_one_when_the_count_does_not_decide(monkeypatch):
+    # X = Y = 2 Z_N: |X| + |Y| = N and sigma = 1. Uncapped, power iteration
+    # reads 1.0000000000000002 at N = 8 and Lanczos at N = 24
+    for N in (8, 24):
+        X = list(range(0, N, 2))
+        for method in NORM_METHODS:
+            cert = masked_norm(X, X, N, method=method)
+            assert cert.iterations >= 1
+            assert 1.0 - 1e-12 <= cert.sigma_max <= 1.0
+    # Jacobi reads 1 here; push its value past 1 to see the cap
+    def high(A, **kwargs):
+        result = jacobi_svd(A, **kwargs)
+        result.singular_values *= 1 + 4e-16
+        return result
+
+    monkeypatch.setattr(fup.spectral, "jacobi_svd", high)
+    assert masked_norm([0, 2, 4, 6], [0, 2, 4, 6], 8, method="dense-svd").sigma_max == 1.0
+
+
+def test_dimension_count_keeps_validation():
+    c = cantor_elements(Alphabet(3, (0, 2)), 1)  # C_1 = {0, 2}, 2 + 2 > 2
+    full = cantor_elements(Alphabet(4, (0, 1, 2, 3)), 1)
+    d = dilate(cantor_elements(Alphabet(4, (0, 1, 3)), 2), Fraction(3, 2))  # max 23
+    for method in NORM_METHODS:
+        for X, N in [(c, 2), (full, 3), (d, 23)]:
+            with pytest.raises(ValueError, match="indices must lie"):
+                masked_norm(X, X, N, method=method)
+        with pytest.raises(ValueError, match="indices must lie"):
+            masked_norm([0, 1, 2, 5], [0, 1, 2], 4, method=method)
+        with pytest.raises(ValueError, match="empty"):
+            masked_norm([], [0, 1, 2, 3], 4, method=method)
+    assert masked_norm(d, d, 24).sigma_max < 1.0
+
+
 def test_norm_certificate_json():
     cert = masked_norm([0, 2], [0, 2], 3, seed=7)
     d = sanitize(cert)
@@ -307,6 +413,20 @@ def test_beta_k_report():
     assert rep.lower_theory - 1e-12 <= rep.beta_k <= rep.upper_theory + 1e-12
     assert set(sanitize(rep)) == {"M", "k", "N", "delta", "sigma_max", "beta_k",
                                   "lower_theory", "upper_theory"}
+
+
+def test_beta_is_positive_zero_at_norm_one():
+    a = Alphabet(3, (0, 2))
+    c = cantor_elements(a, 1)
+    cert = masked_norm(c, c, 3)
+    assert cert.sigma_max == 1.0
+    for rep in (beta_k(cert, a, 1), beta_dilated(cert, dilate(c, Fraction(1)))):
+        assert rep.beta_k == 0.0 and math.copysign(1.0, rep.beta_k) == 1.0
+    # below one the formula is -log(sigma)/(k log M), bit for bit
+    c2 = cantor_elements(a, 2)
+    cert = masked_norm(c2, c2, 9)
+    assert beta_k(cert, a, 2).beta_k == -math.log(cert.sigma_max) / (2 * math.log(3))
+    assert beta_dilated(cert, c2).beta_k == -math.log(cert.sigma_max) / math.log(9)
 
 
 def test_beta_dilated_reduces_to_beta_k_at_alpha_one():
