@@ -41,6 +41,7 @@ Every reported norm is capped at 1, the norm of the unitary F.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,6 +230,20 @@ def power_top(apply, dim: int, tol: float = 1e-10, seed: int = 0,
     )
 
 
+def _basis(rows: int, dim: int) -> np.ndarray:
+    """Zero complex (rows, dim) array in a private anonymous mapping of its
+    own, for the Lanczos basis. Its pages take memory once written and go
+    back to the system when the array is freed. Through malloc a freed basis
+    raises glibc's mmap threshold and stays resident in the heap, and numpy
+    advises huge pages for it, so the resident size of later solves would
+    depend on the solves before them and on the kernel's huge page state."""
+    try:
+        buf = mmap.mmap(-1, rows * dim * 16, flags=mmap.MAP_PRIVATE)
+    except OSError as err:  # ENOMEM, raised as numpy would raise it
+        raise MemoryError(f"Lanczos basis of {rows} x {dim}: {err}") from err
+    return np.frombuffer(buf, dtype=np.complex128).reshape(rows, dim)
+
+
 def lanczos_top(apply, dim: int, tol: float = 1e-10, seed: int = 0,
                 max_matvecs: int = MAX_POWER_ITERATIONS):
     """Largest eigenvalue of a Hermitian PSD operator by thick-restart
@@ -254,7 +269,7 @@ def lanczos_top(apply, dim: int, tol: float = 1e-10, seed: int = 0,
     v /= np.linalg.norm(v)
     ncv = int(min(LANCZOS_NCV, dim))
     keep = int(min(LANCZOS_KEEP, max(1, ncv - 4)))
-    V = np.zeros((min(ncv, 2 * LANCZOS_CHECK_EVERY), dim), dtype=np.complex128)
+    V = _basis(min(ncv, 2 * LANCZOS_CHECK_EVERY), dim)
     V[0] = v
     T = np.zeros((ncv, ncv))
 
@@ -302,7 +317,7 @@ def lanczos_top(apply, dim: int, tol: float = 1e-10, seed: int = 0,
         if not at_cap:
             T[j, j + 1] = T[j + 1, j] = coupling
             if j + 1 == V.shape[0]:
-                grown = np.zeros((min(ncv, 2 * V.shape[0]), dim), dtype=np.complex128)
+                grown = _basis(min(ncv, 2 * V.shape[0]), dim)
                 grown[: j + 1] = V
                 V = grown
             V[j + 1] = w / beta

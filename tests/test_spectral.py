@@ -158,11 +158,21 @@ def test_pruned_route_reaches_deep_k():
     assert cert.residual <= 1e-10
 
 
-def test_lanczos_memory_follows_matvecs():
-    # a full ncv = 512 basis at dim 2^16 would take 512 MiB
+def test_lanczos_memory_follows_matvecs(monkeypatch):
+    # a full ncv = 512 basis at dim 2^16 would take 512 MiB. tracemalloc
+    # does not see the basis mappings, so their bytes are counted at _basis:
+    # a basis and the one it grows into are live together
     c = cantor_elements(Alphabet(3, (0, 2)), 16)
     apply, dim = masked_gram_apply(c, c, 3**16)
     assert dim == 2**16
+    sizes = [0]
+    real_basis = fup.spectral._basis
+
+    def basis(rows, dim):
+        sizes.append(rows * dim * 16)
+        return real_basis(rows, dim)
+
+    monkeypatch.setattr(fup.spectral, "_basis", basis)
     tracemalloc.start()
     try:
         _, _, matvecs, _ = lanczos_top(apply, dim)
@@ -170,7 +180,15 @@ def test_lanczos_memory_follows_matvecs():
     finally:
         tracemalloc.stop()
     assert matvecs < 64
-    assert peak < 64 * 2**20
+    assert peak + max(a + b for a, b in zip(sizes, sizes[1:])) < 64 * 2**20
+
+
+def test_lanczos_basis_is_zeroed_and_refuses_impossible_sizes():
+    V = fup.spectral._basis(3, 5)
+    assert V.shape == (3, 5) and V.dtype == np.complex128 and not V.any()
+    V[2, 4] = 1j
+    with pytest.raises(MemoryError):
+        fup.spectral._basis(2**20, 2**30)  # 16 PiB: refused before any page is touched
 
 
 def test_lanczos_through_thick_restart():
