@@ -10,8 +10,7 @@ from .cantor import (Alphabet, CantorSet, CapacityError, build_alphabet_initial,
                      build_alphabet_interval, cantor_elements, dilate)
 from .spectral import (ConvergenceError, FupExponentReport, NormCertificate,
                        beta_dilated, beta_k, dft_apply, dft_submatrix,
-                       lanczos_top, masked_gram_apply, masked_norm, power_top,
-                       submatrix_norm_bounds)
+                       lanczos_top, masked_gram_apply, masked_norm, power_top)
 from .jacobi import JacobiSVD, jacobi_svd
 from .testfn import (ConvolutionChain, SeedFunction, Theorem1Report,
                      ZCertificate, band_lipschitz, band_masses,
@@ -32,7 +31,7 @@ __all__ = [
     "dilate",
     "ConvergenceError", "FupExponentReport", "NormCertificate",
     "beta_dilated", "beta_k", "dft_apply", "dft_submatrix", "lanczos_top",
-    "masked_gram_apply", "masked_norm", "power_top", "submatrix_norm_bounds",
+    "masked_gram_apply", "masked_norm", "power_top",
     "JacobiSVD", "jacobi_svd",
     "ConvolutionChain", "SeedFunction", "Theorem1Report", "ZCertificate",
     "band_lipschitz", "band_masses", "convolution_chain",

@@ -26,7 +26,7 @@ import numpy as np
 
 from .cantor import Alphabet, CapacityError
 from .diophantine import best_rational, canonical_dilation
-from .spectral import FFT_BUDGET, ConvergenceError, lanczos_top, power_top
+from .spectral import FFT_BUDGET, ConvergenceError, check_tol, lanczos_top, power_top
 
 # norms below this have Gram eigenvalues < 1e-12, unresolvable in doubles
 NOISE_FLOOR = 1e-6
@@ -38,7 +38,7 @@ class CutoffProfile:
 
     kind "smooth-bump" is the compactly supported bump on (0, 1); "sharp"
     is identically 1 and sits outside the smooth class the contraction
-    theory assumes, so it is flagged by in_smoothness_class.
+    theory assumes.
     """
 
     kind: str
@@ -48,17 +48,10 @@ class CutoffProfile:
         arr = np.array(self.samples, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("samples must be a nonempty 1-d array")
-        if arr.min() < 0.0 or arr.max() > 1.0:
+        if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN fails both
             raise ValueError("cutoff samples must lie in [0, 1]")
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
-
-    @property
-    def in_smoothness_class(self) -> bool:
-        return self.kind == "smooth-bump"
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "length": int(self.samples.size)}
 
 
 def bump_profile(W: int) -> CutoffProfile:
@@ -182,53 +175,42 @@ def gelfand_bound(bmap: BakerMap, n_max: int = 64, tol: float = 1e-10,
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if method == "lanczos":
-        engine = lanczos_top
-    elif method == "power-iteration":
-        engine = power_top
-    else:
+    check_tol(tol)
+    # looked up per call, so a rebinding of the module's solvers takes effect
+    engines = {"lanczos": lanczos_top, "power-iteration": power_top}
+    if method not in engines:
         raise ValueError(f"unknown method {method!r}")
-    schedule = []
-    n = 1
-    while n <= n_max:
-        schedule.append(n)
-        n *= 2
+    engine = engines[method]
     M, W, rows = bmap.M, bmap.N // bmap.M, bmap._rows
     powers = []
     diagnostics = []
-    rho_upper = math.inf
     prev_upper = None
-    for n in schedule:
+    n = 1
+    while n <= n_max:
         if prev_upper is not None and prev_upper * prev_upper < NOISE_FLOOR:
             norm_upper = prev_upper * prev_upper
-            powers.append((n, norm_upper))
-            diagnostics.append({"n": n, "theta": norm_upper**2,
-                                "residual": 0.0, "iterations": 0,
-                                "converged": True,
-                                "source": "submultiplicative"})
-            rho_upper = min(rho_upper, norm_upper ** (1.0 / n))
-            prev_upper = norm_upper
-            continue
-        def gram(v, _n=n):
-            full = np.zeros((M, W), dtype=np.complex128)
-            full[rows] = v.reshape(-1, W)
-            return bmap.gram_apply(full.reshape(-1), _n).reshape(M, W)[rows].reshape(-1)
-        try:
-            theta, _, its, res = engine(gram, rows.size * W, tol, seed)
-            norm_upper = math.sqrt(max(theta, 0.0) * (1.0 + res))
-            converged, source = True, "iteration"
-        except ConvergenceError as err:
-            theta = err.sigma_best**2
-            res = err.residual
-            its = err.iterations
-            norm_upper = 1.0 if prev_upper is None else prev_upper * prev_upper
-            converged, source = False, "submultiplicative-fallback"
+            theta, res, its = norm_upper**2, 0.0, 0
+            converged, source = True, "submultiplicative"
+        else:
+            def gram(v, _n=n):
+                full = np.zeros((M, W), dtype=np.complex128)
+                full[rows] = v.reshape(-1, W)
+                return bmap.gram_apply(full.reshape(-1), _n).reshape(M, W)[rows].reshape(-1)
+            try:
+                theta, _, its, res = engine(gram, rows.size * W, tol, seed)
+                norm_upper = math.sqrt(max(theta, 0.0) * (1.0 + res))
+                converged, source = True, "iteration"
+            except ConvergenceError as err:
+                theta, res, its = err.sigma_best**2, err.residual, err.iterations
+                norm_upper = 1.0 if prev_upper is None else prev_upper * prev_upper
+                converged, source = False, "submultiplicative-fallback"
         powers.append((n, norm_upper))
         diagnostics.append({"n": n, "theta": theta, "residual": res,
                             "iterations": its, "converged": converged,
                             "source": source})
-        rho_upper = min(rho_upper, norm_upper ** (1.0 / n))
         prev_upper = norm_upper
+        n *= 2
+    rho_upper = min(u ** (1.0 / m) for m, u in powers)
     comparison = None
     letters = bmap.alphabet.letters
     L = len(letters)

@@ -73,10 +73,16 @@ class CantorSet:
     def N(self) -> int:
         return int(self.alpha * self.alphabet.M**self.k)
 
+    @property
+    def size(self) -> int:
+        """|A|^k = M^{delta k}, counted without building the elements:
+        ceil(alpha j) is injective on integers for alpha >= 1."""
+        return self.alphabet.size**self.k
+
     @cached_property
     def elements(self) -> np.ndarray:
         """The |A|^k elements, sorted, as a read-only int64 array."""
-        if self.alphabet.size**self.k > 2**26:
+        if self.size > 2**26:
             raise CapacityError(f"|A|^k = {self.alphabet.size}^{self.k} elements is too large")
         A = np.asarray(self.alphabet.letters, dtype=np.int64)
         # prefix * M + letter keeps the words sorted at every stage

@@ -22,7 +22,7 @@ from pathlib import Path
 from .cantor import CapacityError
 from .spectral import DEFAULT_SEED, DEFAULT_TOL, ConvergenceError, masked_norm
 from .serialize import dumps_canonical
-from .svgplot import emit_plot
+from .svgplot import KINDS, emit_plot
 from .sweep import _RUNNERS, REQUIRED, SweepSpec, build_mask, parameters, run_sweep
 
 ELEMENT_PRINT_CAP = 4096
@@ -53,7 +53,7 @@ def _solver(args) -> dict:
 def cmd_cantor(args) -> int:
     mask = build_mask(**_params(args))
     alphabet = mask.alphabet
-    size = alphabet.size**mask.k
+    size = mask.size
     payload = {
         "M": alphabet.M,
         "alphabet": list(alphabet.letters),
@@ -75,7 +75,7 @@ def cmd_norm(args) -> int:
     mask = build_mask(**params)
     cert = masked_norm(mask, mask, mask.N, method=method, **_solver(args))
     _emit({"M": mask.alphabet.M, "k": mask.k, "N": mask.N, "alpha": mask.alpha,
-           "size": mask.alphabet.size**mask.k, "norm": cert}, args)
+           "size": mask.size, "norm": cert}, args)
     return 0
 
 
@@ -184,8 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker threads (default: the config's threads, else 1)")
 
     p = add("plot", cmd_plot, "render sweep results to SVG", parents=())
-    p.add_argument("--kind", required=True,
-                   choices=["beta-vs-k", "gap-vs-N", "profile"])
+    p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--input", required=True, help="results.jsonl path")
 
     return parser

@@ -173,7 +173,7 @@ def fk_eval(cantor: CantorSet, x):
     the elements; the factored recursion F_k(x) = F_1(x) F_{k-1}(M x) is
     what tests verify against this.
     """
-    if cantor.alphabet.size**cantor.k > 2**16:
+    if cantor.size > 2**16:
         raise CapacityError("direct F_k evaluation limited to |C_k| <= 65536")
     elems = cantor.elements.astype(np.float64)
     xs = np.atleast_1d(np.asarray(x, dtype=np.float64)).ravel()

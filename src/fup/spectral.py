@@ -101,21 +101,21 @@ def _as_indices(S, N: int, name: str) -> np.ndarray:
 
 def _mask_size(S, N: int, name: str) -> int:
     """|S| for a mask in Z_N, with the checks of _as_indices. A Cantor set is
-    counted from (alphabet, k), as ceil(alpha j) is injective for alpha >= 1,
-    and its largest element ceil(alpha a_max (M^k - 1)/(M - 1)) is checked
-    against N; its elements are never built."""
+    counted by its size, and its largest element
+    ceil(alpha a_max (M^k - 1)/(M - 1)) is checked against N; its elements
+    are never built."""
     if not isinstance(S, CantorSet):
         return _as_indices(S, N, name).size
     M, p, r = S.alphabet.M, S.alpha.numerator, S.alpha.denominator
     if -(-p * S.alphabet.letters[-1] * ((M**S.k - 1) // (M - 1)) // r) >= N:
         raise ValueError(f"{name} indices must lie in [0, {N})")
-    return S.alphabet.size**S.k
+    return S.size
 
 
 def dft_submatrix(X, Y, N: int) -> np.ndarray:
     """Dense submatrix of F_N with rows X and columns Y; the size is
     checked before a Cantor set's elements are built."""
-    nx, ny = (S.alphabet.size**S.k if isinstance(S, CantorSet) else len(S) for S in (X, Y))
+    nx, ny = _mask_size(X, N, "X"), _mask_size(Y, N, "Y")
     if nx * ny > DENSE_ENTRY_BUDGET:
         raise CapacityError(f"dense submatrix {nx} x {ny} too large")
     Xi = _as_indices(X, N, "X")
@@ -130,7 +130,7 @@ def masked_gram_apply(X, Y, N: int):
     increasing order of Y, by the route of the module docstring; before any
     work the FFT route refuses N > FFT_BUDGET, the pruned |A|^k > PRUNED_BUDGET."""
     if (isinstance(X, CantorSet) and X == Y and X.alpha.denominator == 1
-            and N == X.N and X.k * X.alphabet.size ** (X.k + 1) < N):
+            and N == X.N and X.k * X.size * X.alphabet.size < N):
         return _pruned_gram_apply(X)
     if N > FFT_BUDGET:
         raise CapacityError(f"N = {N} exceeds the FFT budget 2^24")
@@ -152,7 +152,7 @@ def _pruned_gram_apply(X: CantorSet):
     """Gram of the masked DFT on X x X, X = alpha C_k with an integer alpha
     and N = alpha M^k, by the digit-pruned transform of the module
     docstring."""
-    if X.alphabet.size**X.k > PRUNED_BUDGET:
+    if X.size > PRUNED_BUDGET:
         raise CapacityError(f"|A|^k = {X.alphabet.size}^{X.k} exceeds the pruned budget 2^22")
     M, k, alpha = X.alphabet.M, X.k, X.alpha.numerator
     A = np.asarray(X.alphabet.letters, dtype=np.int64)
@@ -347,10 +347,16 @@ def lanczos_top(apply, dim: int, tol: float = 1e-10, seed: int = 0,
     else:
         res = np.inf
     raise ConvergenceError(
-        f"lanczos did not reach tol={tol} in {max_matvecs} matvecs (residual {res:.3e})",
+        f"lanczos did not reach tol={tol} in {matvecs} matvecs (residual {res:.3e})",
         sigma_best=math.sqrt(max(theta, 0.0)), residual=res, iterations=matvecs,
         vector=x if nx > 0 else None,
     )
+
+
+def check_tol(tol: float) -> None:
+    """Refuse a solver tolerance outside 0 < tol < inf; NaN fails both sides."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
 
 
 def shaped_like(out: np.ndarray, x):
@@ -391,8 +397,7 @@ def masked_norm(X, Y, N: int, tol: float = DEFAULT_TOL,
     """
     if method not in NORM_METHODS:
         raise ValueError(f"unknown method {method!r}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_tol(tol)
     if _mask_size(X, N, "X") + _mask_size(Y, N, "Y") > N:
         return NormCertificate(1.0, method, 0, 0.0, seed)
     if method == "dense-svd":
@@ -411,16 +416,6 @@ def masked_norm(X, Y, N: int, tol: float = DEFAULT_TOL,
     engine = power_top if method == "power-iteration" else lanczos_top
     lam, _, its, res = engine(apply, dim, tol, seed)
     return NormCertificate(min(math.sqrt(lam), 1.0), method, its, res, seed)
-
-
-def submatrix_norm_bounds(nX: int, nY: int, N: int) -> tuple[float, float]:
-    """(Schur upper bound on sigma, Hilbert-Schmidt/rank lower bound on
-    sigma^2) for any |X| x |Y| submatrix of F_N: all entries have modulus
-    1/sqrt(N), and |A|_HS^2 = nX nY / N spreads over rank <= min(nX, nY).
-    """
-    schur = math.sqrt(nX * nY / N)
-    hs_sq = max(nX, nY) / N
-    return schur, hs_sq
 
 
 @dataclass
@@ -460,7 +455,7 @@ def beta_dilated(cert: NormCertificate, dilated: CantorSet) -> FupExponentReport
     if cert.sigma_max <= 0:
         raise ValueError("sigma_max must be positive")
     alphabet = dilated.alphabet
-    d_eff = math.log(alphabet.size**dilated.k) / math.log(dilated.N)
+    d_eff = math.log(dilated.size) / math.log(dilated.N)
     beta = 0.0 - math.log(cert.sigma_max) / math.log(dilated.N)
     return FupExponentReport(alphabet.M, dilated.k, dilated.N, alphabet.delta,
                              cert.sigma_max, beta,

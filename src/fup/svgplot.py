@@ -16,14 +16,16 @@ WIDTH = 640
 HEIGHT = 420
 MARGIN = {"left": 72, "right": 24, "top": 42, "bottom": 52}
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
+# curve plots: kind -> (x column, y column, columns that label a series, title)
+CURVES = {
+    "beta-vs-k": ("k", "beta_k", ("M", "alphabet", "delta"), "uncertainty exponent vs depth"),
+    "gap-vs-N": ("N", "rho_upper", ("M", "alphabet", "cutoff"), "spectral radius bound vs N"),
+}
+KINDS = (*CURVES, "profile")
 
 
 def _fmt(x: float) -> str:
     return "%.6f" % float(x)
-
-
-def _ticks(lo: float, hi: float, n: int = 5):
-    return np.linspace(lo, hi, n)
 
 
 def _pad_range(vals):
@@ -53,13 +55,13 @@ def _panel(out, series, xlabel, ylabel, title, x0, y0, w, h):
 
     out.append(f'<rect x="{_fmt(left)}" y="{_fmt(top)}" width="{_fmt(right - left)}" '
                f'height="{_fmt(bottom - top)}" fill="none" stroke="#000000" stroke-width="1"/>')
-    for tv in _ticks(xlo, xhi):
+    for tv in np.linspace(xlo, xhi, 5):
         px = sx(tv)
         out.append(f'<line x1="{_fmt(px)}" y1="{_fmt(bottom)}" x2="{_fmt(px)}" '
                    f'y2="{_fmt(bottom + 5)}" stroke="#000000" stroke-width="1"/>')
         out.append(f'<text x="{_fmt(px)}" y="{_fmt(bottom + 18)}" font-size="11" '
                    f'text-anchor="middle" font-family="monospace">{"%.4g" % tv}</text>')
-    for tv in _ticks(ylo, yhi):
+    for tv in np.linspace(ylo, yhi, 5):
         py = sy(tv)
         out.append(f'<line x1="{_fmt(left - 5)}" y1="{_fmt(py)}" x2="{_fmt(left)}" '
                    f'y2="{_fmt(py)}" stroke="#000000" stroke-width="1"/>')
@@ -115,20 +117,14 @@ def _grouped(rows, keyfields):
 
 def emit_plot(rows, kind: str, path) -> None:
     """Render records (dicts with flat numeric columns) to an SVG file."""
-    if kind == "beta-vs-k":
-        rows = _require(rows, ["k", "beta_k"], kind)
+    if kind in CURVES:
+        x, y, keyfields, title = CURVES[kind]
+        rows = _require(rows, [x, y], kind)
         series = []
-        for label, rs in _grouped(rows, ["M", "alphabet", "delta"]):
-            rs = sorted(rs, key=lambda r: r["k"])
-            series.append((label, [r["k"] for r in rs], [r["beta_k"] for r in rs]))
-        svg = render_panels([(series, "k", "beta_k", "uncertainty exponent vs depth")])
-    elif kind == "gap-vs-N":
-        rows = _require(rows, ["N", "rho_upper"], kind)
-        series = []
-        for label, rs in _grouped(rows, ["M", "alphabet", "cutoff"]):
-            rs = sorted(rs, key=lambda r: r["N"])
-            series.append((label, [r["N"] for r in rs], [r["rho_upper"] for r in rs]))
-        svg = render_panels([(series, "N", "rho_upper", "spectral radius bound vs N")])
+        for label, rs in _grouped(rows, keyfields):
+            rs = sorted(rs, key=lambda r: r[x])
+            series.append((label, [r[x] for r in rs], [r[y] for r in rs]))
+        svg = render_panels([(series, x, y, title)])
     elif kind == "profile":
         rows = _require(rows, ["M", "delta"], kind)
         from .cantor import build_alphabet_interval

@@ -22,9 +22,9 @@ def test_cutoff_validation():
         CutoffProfile("custom", np.array([0.5, 1.2]))
     with pytest.raises(ValueError):
         CutoffProfile("custom", np.array([-0.1, 0.5]))
-    c = CutoffProfile("custom", [0.2, 0.8])
-    assert not c.in_smoothness_class
-    assert c.to_json() == {"kind": "custom", "length": 2}
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        CutoffProfile("custom", np.array([0.5, np.nan, 0.5]))
+    assert CutoffProfile("custom", [0.2, 0.8]).samples.tolist() == [0.2, 0.8]
 
 
 def test_bump_profile_shape():
@@ -32,14 +32,12 @@ def test_bump_profile_shape():
     assert chi[0] == 0.0
     assert np.all(chi[1:] > 0)
     assert np.max(chi) <= 1.0
-    assert bump_profile(81).in_smoothness_class
     # symmetric about t = 1/2 on the sample lattice shifted by one
     assert np.allclose(chi[1:], chi[1:][::-1], atol=1e-12)
 
 
 def test_sharp_profile():
     assert np.array_equal(sharp_profile(5).samples, np.ones(5))
-    assert not sharp_profile(5).in_smoothness_class
     with pytest.raises(ValueError):
         make_cutoff("gauss", 5)
 
@@ -191,6 +189,9 @@ def test_gelfand_validation():
         gelfand_bound(bmap, n_max=0)
     with pytest.raises(ValueError):
         gelfand_bound(bmap, method="secant")
+    for tol in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            gelfand_bound(bmap, n_max=2, tol=tol)
 
 
 def test_gelfand_report_json():

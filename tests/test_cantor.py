@@ -74,6 +74,7 @@ def test_cantor_elements_small():
     assert c.elements.tolist() == [0, 2, 6, 8]
     assert c.elements.dtype == np.int64 and not c.elements.flags.writeable
     assert c.N == 9
+    assert c.size == len(c.elements) == 4
     c1 = cantor_elements(Alphabet(3, (0, 2)), 1)
     assert c1.elements.tolist() == [0, 2]
 
@@ -199,5 +200,6 @@ def test_dilated_elements_past_int64_products():
 
 def test_pruned_route_builds_no_elements():
     c = cantor_elements(Alphabet(3, (0, 2)), 20)
+    assert c.size == 2**20
     masked_gram_apply(c, c, 3**20)
     assert "elements" not in vars(c)

@@ -114,6 +114,11 @@ def test_baker_custom_cutoff(tmp_path, capsys):
     rc = main(["baker", "--N", "4", "--M", "2", "--alphabet", "0,1",
                "--cutoff", str(bad)])
     assert rc == 2
+    nan = tmp_path / "nan.csv"
+    nan.write_text("0.5,nan,0.5\n")
+    assert main(["baker", "--N", "9", "--M", "3", "--alphabet", "0,2",
+                 "--cutoff", str(nan)]) == 2
+    assert "cutoff samples must lie in [0, 1]" in capsys.readouterr().err
 
     # a sweep point takes the same CSV path; a bad file is a skipped point
     record = run_sweep(SweepSpec("baker", {"N": 27, "M": 3, "alphabet": "0,1,2",
@@ -141,6 +146,13 @@ def test_exit_code_2_on_bad_parameters(capsys):
     assert main(["norm", "--M", "3", "--alphabet", "0,2", "--k", "1",
                  "--tol", "0"]) == 2
     capsys.readouterr()
+    # NaN and inf tolerances are refused before any solver runs
+    for command, tol in [("norm", "nan"), ("norm", "inf"), ("baker", "-1"),
+                         ("baker", "nan"), ("baker", "inf")]:
+        size = ["--k", "6"] if command == "norm" else ["--N", "27", "--nmax", "2"]
+        assert main([command, "--M", "3", "--alphabet", "0,2", *size,
+                     f"--tol={tol}"]) == 2
+        assert f"tol must be positive and finite, got {float(tol)}" in capsys.readouterr().err
 
 
 def _subparser(command):
@@ -352,6 +364,8 @@ def test_plot_requires_out():
     with pytest.raises(SystemExit) as exc:
         main(["plot", "--kind", "beta-vs-k", "--input", "whatever.jsonl"])
     assert exc.value.code == 2
+    kind = next(a for a in _subparser("plot")._actions if a.dest == "kind")
+    assert sorted(kind.choices) == ["beta-vs-k", "gap-vs-N", "profile"]
 
 
 def test_exit_code_1_on_broken_invariant(monkeypatch, capsys):

@@ -17,8 +17,7 @@ from fup.jacobi import jacobi_svd
 from fup.serialize import sanitize
 from fup.spectral import (NORM_METHODS, ConvergenceError, _pruned_gram_apply,
                           beta_dilated, beta_k, dft_apply, dft_submatrix,
-                          lanczos_top, masked_gram_apply, masked_norm, power_top,
-                          submatrix_norm_bounds)
+                          lanczos_top, masked_gram_apply, masked_norm, power_top)
 
 RNG = np.random.default_rng(1234)
 
@@ -278,6 +277,9 @@ def test_masked_norm_validation():
         masked_norm([], [0], 4)
     with pytest.raises(ValueError):
         masked_norm([0], [0], 4, tol=0.0)
+    for tol in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            masked_norm([0], [0], 4, tol=tol)
     with pytest.raises(ValueError):
         masked_norm([0], [0], 4, method="magic")
     with pytest.raises(ValueError):
@@ -396,18 +398,6 @@ def test_norm_certificate_json():
     assert d["seed"] == 7
 
 
-def test_schur_and_hs_bounds():
-    for M, letters, k in [(3, (0, 2), 2), (5, (0, 1, 3), 2), (4, (0, 3), 3)]:
-        c = cantor_elements(Alphabet(M, letters), k)
-        N = M**k
-        n = len(c.elements)
-        sigma = float(np.linalg.svd(dft_submatrix(c, c, N), compute_uv=False)[0])
-        schur, hs_sq = submatrix_norm_bounds(n, n, N)
-        assert sigma <= schur + 1e-12
-        assert sigma**2 >= hs_sq - 1e-12
-    assert submatrix_norm_bounds(2, 8, 16) == (1.0, 0.5)
-
-
 def test_power_iteration_budget_error():
     c = cantor_elements(Alphabet(3, (0, 2)), 3)
     apply, dim = masked_gram_apply(c, c, 27)
@@ -417,6 +407,13 @@ def test_power_iteration_budget_error():
     assert err.iterations == 2
     assert err.sigma_best >= 0.0
     assert err.vector is not None
+    # a Lanczos basis that spans its 64-dimensional space stops early, and
+    # the message counts the matvecs it used
+    G = np.random.default_rng(0).standard_normal((64, 64))
+    with pytest.raises(ConvergenceError) as exc:
+        lanczos_top(lambda v: G @ G.T @ v, 64, tol=1e-300)
+    assert f"in {exc.value.iterations} matvecs" in str(exc.value)
+    assert exc.value.iterations < 100
 
 
 def test_beta_k_report():
