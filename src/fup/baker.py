@@ -26,9 +26,10 @@ import numpy as np
 
 from .cantor import Alphabet, CapacityError
 from .diophantine import best_rational, canonical_dilation
-from .spectral import FFT_BUDGET, ConvergenceError, check_tol, lanczos_top, power_top
+from .spectral import (DEFAULT_SEED, DEFAULT_TOL, FFT_BUDGET, ConvergenceError,
+                       check_tol, lanczos_top, power_top)
 
-# norms below this have Gram eigenvalues < 1e-12, unresolvable in doubles
+# level n records ||B^{n/2}||^2 uniterated below this: a saving, not a resolution limit
 NOISE_FLOOR = 1e-6
 
 
@@ -153,8 +154,8 @@ class GelfandReport:
     comparison: dict | None
 
 
-def gelfand_bound(bmap: BakerMap, n_max: int = 64, tol: float = 1e-10,
-                  seed: int = 0, eps: float = 0.0,
+def gelfand_bound(bmap: BakerMap, n_max: int = 64, tol: float = DEFAULT_TOL,
+                  seed: int = DEFAULT_SEED, eps: float = 0.0,
                   method: str = "lanczos") -> GelfandReport:
     """Certified upper bound on the spectral radius of B.
 
@@ -168,10 +169,10 @@ def gelfand_bound(bmap: BakerMap, n_max: int = 64, tol: float = 1e-10,
     instead (||B|| <= 1 at n = 1; source "submultiplicative-fallback", with
     its Ritz value kept in the diagnostics), since an unconverged Ritz value
     may sit below ||B^n||. Once the
-    submultiplicative prediction ||B^{n/2}||^2 falls below NOISE_FLOOR the
-    Gram spectrum is pure rounding noise, so that prediction is recorded
-    directly (diagnostics carry source "submultiplicative"); this never
-    changes rho_upper because (u^2)^{1/2n} = u^{1/n}.
+    submultiplicative prediction ||B^{n/2}||^2 falls below NOISE_FLOOR,
+    that prediction is recorded without iterating (diagnostics carry source
+    "submultiplicative"); this never changes rho_upper because
+    (u^2)^{1/2n} = u^{1/n}, though the Gram there is still resolvable.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -179,7 +180,7 @@ def gelfand_bound(bmap: BakerMap, n_max: int = 64, tol: float = 1e-10,
     # looked up per call, so a rebinding of the module's solvers takes effect
     engines = {"lanczos": lanczos_top, "power-iteration": power_top}
     if method not in engines:
-        raise ValueError(f"unknown method {method!r}")
+        raise ValueError(f"unknown method {method!r}; Gelfand bounds take {', '.join(engines)}")
     engine = engines[method]
     M, W, rows = bmap.M, bmap.N // bmap.M, bmap._rows
     powers = []

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -113,12 +114,10 @@ def cmd_dirichlet(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    spec = SweepSpec.from_json(json.loads(Path(args.config).read_text(encoding="utf-8")))
     # flags win over the config file
-    config.update(_given(args, SOLVER_FLAGS + ("threads",)))
-    if args.out:
-        config["out_dir"] = args.out
-    spec = SweepSpec.from_json(config)
+    spec = replace(spec, **_given(args, SOLVER_FLAGS + ("threads",)),
+                   out_dir=args.out or spec.out_dir)
     record = run_sweep(spec)
     print(dumps_canonical({"spec_hash": record.spec_hash,
                            "ok": record.n_ok, "skipped": record.n_skipped,

@@ -26,8 +26,8 @@ import numpy as np
 
 from .cantor import (CantorSet, CapacityError, build_alphabet_initial,
                      cantor_elements, dilate)
-from .spectral import (FupExponentReport, NormCertificate, beta_dilated,
-                       masked_norm, shaped_like)
+from .spectral import (DEFAULT_SEED, DEFAULT_TOL, FupExponentReport, NormCertificate,
+                       beta_dilated, masked_norm, shaped_like)
 
 SK_MAX_K = 4
 SK_MAX_ELEMENTS = 512
@@ -368,7 +368,7 @@ class Theorem2Report:
 
 
 def theorem2_report(M: int, Mdelta: int, k: int, alpha, eps: float = 0.0,
-                    tol: float = 1e-10, seed: int = 0, method: str = "lanczos",
+                    tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED, method: str = "lanczos",
                     outer_grid: int = 200_000, sk_grid: int = 2048) -> Theorem2Report:
     """Full upper-bound pipeline at N = alpha M^k for the initial alphabet.
 

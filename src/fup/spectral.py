@@ -182,8 +182,8 @@ def _pruned_gram_apply(X: CantorSet):
     return apply, L**k
 
 
-def power_top(apply, dim: int, tol: float = 1e-10, seed: int = 0,
-              max_iterations: int = MAX_POWER_ITERATIONS):
+def power_top(apply, dim: int, tol: float = DEFAULT_TOL,
+              seed: int = DEFAULT_SEED, max_iterations: int = MAX_POWER_ITERATIONS):
     """Orthogonal (block power) iteration on a Hermitian PSD operator.
 
     Symmetric alphabets give masked Grams whose top eigenvalues come in
@@ -244,8 +244,8 @@ def _basis(rows: int, dim: int) -> np.ndarray:
     return np.frombuffer(buf, dtype=np.complex128).reshape(rows, dim)
 
 
-def lanczos_top(apply, dim: int, tol: float = 1e-10, seed: int = 0,
-                max_matvecs: int = MAX_POWER_ITERATIONS):
+def lanczos_top(apply, dim: int, tol: float = DEFAULT_TOL,
+                seed: int = DEFAULT_SEED, max_matvecs: int = MAX_POWER_ITERATIONS):
     """Largest eigenvalue of a Hermitian PSD operator by thick-restart
     Lanczos with full reorthogonalization.
 
@@ -257,20 +257,26 @@ def lanczos_top(apply, dim: int, tol: float = 1e-10, seed: int = 0,
     30, 1976): a pass that removes that little leaves it orthogonal to
     working precision.
 
+    A step is invariant when its new coupling beta is at most 1e-14 times
+    the largest |A v_j| so far, a lower bound on |A| (Parlett, The Symmetric
+    Eigenvalue Problem, 1998, ch. 13): the Krylov space of the random start
+    then holds the top eigenvalue it reaches, so the Ritz pair is checked
+    and the iteration stops, converged or not.
+
     Deterministic for fixed seed. Handles the near-degenerate top clusters
     of masked-DFT Gram operators where plain power iteration stalls. Returns
     (theta, vector, matvecs, residual) with residual = |A v - theta v| / theta
-    measured by an explicit extra application. The basis starts with a few
-    rows and doubles up to LANCZOS_NCV as the iteration needs them, so its
-    memory follows the matvecs used rather than LANCZOS_NCV.
+    measured by an explicit extra application; ConvergenceError carries the
+    last such check. The basis starts with a few rows and doubles up to
+    LANCZOS_NCV as the iteration needs them, so its memory follows the
+    matvecs used rather than LANCZOS_NCV.
     """
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
     ncv = int(min(LANCZOS_NCV, dim))
     keep = int(min(LANCZOS_KEEP, max(1, ncv - 4)))
     V = _basis(min(ncv, 2 * LANCZOS_CHECK_EVERY), dim)
-    V[0] = v
+    V[0] = v / np.linalg.norm(v)
     T = np.zeros((ncv, ncv))
 
     def orthogonalize(w, j):
@@ -288,34 +294,31 @@ def lanczos_top(apply, dim: int, tol: float = 1e-10, seed: int = 0,
     j = 0
     first = 0  # first row of column j that T couples to
     matvecs = 0
-    theta = 0.0
+    scale = 0.0  # largest |A v_j| so far
+    theta, x, res = 0.0, None, math.inf
     while matvecs < max_matvecs:
         w = apply(V[j])
         matvecs += 1
+        scale = max(scale, float(np.linalg.norm(w)))
         T[j, j] = float(np.vdot(V[j], w).real)
         w, beta = orthogonalize(w - T[first : j + 1, j] @ V[first : j + 1], j)
         at_cap = j + 1 == ncv
-        if (j + 1) % LANCZOS_CHECK_EVERY == 0 or at_cap or beta < 1e-14:
+        invariant = beta <= 1e-14 * scale
+        if (j + 1) % LANCZOS_CHECK_EVERY == 0 or at_cap or invariant:
             evals, evecs = np.linalg.eigh(T[: j + 1, : j + 1])
             theta = float(evals[-1])
             s = evecs[:, -1]
-            if theta > 0 and beta * abs(s[-1]) <= 0.5 * tol * theta:
+            if theta > 0 and (invariant or beta * abs(s[-1]) <= 0.5 * tol * theta):
                 x = s @ V[: j + 1]
                 x /= np.linalg.norm(x)
                 res = float(np.linalg.norm(apply(x) - theta * x)) / theta
                 matvecs += 1
                 if res <= tol:
                     return theta, x, matvecs, res
-        coupling = beta
-        if beta < 1e-14:
-            # invariant subspace found: start a fresh block with zero
-            # coupling (a fabricated coupling would corrupt the Ritz values)
-            coupling = 0.0
-            w, beta = orthogonalize(rng.standard_normal(dim) + 1j * rng.standard_normal(dim), j)
-            if beta < 1e-14:
-                break  # basis spans the whole space
+            if invariant:
+                break
         if not at_cap:
-            T[j, j + 1] = T[j + 1, j] = coupling
+            T[j, j + 1] = T[j + 1, j] = beta
             if j + 1 == V.shape[0]:
                 grown = _basis(min(ncv, 2 * V.shape[0]), dim)
                 grown[: j + 1] = V
@@ -332,24 +335,13 @@ def lanczos_top(apply, dim: int, tol: float = 1e-10, seed: int = 0,
         V[keep] = w / beta
         T[:, :] = 0.0
         T[:keep, :keep] = np.diag(evals[-keep:])
-        T[keep, :keep] = T[:keep, keep] = coupling * S[-1, :]
+        T[keep, :keep] = T[:keep, keep] = beta * S[-1, :]
         first = 0
         j = keep
-    evals, evecs = np.linalg.eigh(T[: j + 1, : j + 1])
-    theta = float(evals[-1])
-    x = evecs[:, -1] @ V[: j + 1]
-    nx = np.linalg.norm(x)
-    if nx > 0 and theta > 0:
-        x /= nx
-        res = float(np.linalg.norm(apply(x) - theta * x)) / theta
-        if res <= tol:
-            return theta, x, matvecs, res
-    else:
-        res = np.inf
     raise ConvergenceError(
         f"lanczos did not reach tol={tol} in {matvecs} matvecs (residual {res:.3e})",
         sigma_best=math.sqrt(max(theta, 0.0)), residual=res, iterations=matvecs,
-        vector=x if nx > 0 else None,
+        vector=x,
     )
 
 

@@ -28,7 +28,7 @@ import itertools
 import platform
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -84,14 +84,21 @@ class SweepSpec:
         return d
 
     @classmethod
-    def from_json(cls, d: dict) -> "SweepSpec":
+    def from_json(cls, d) -> "SweepSpec":
+        if not isinstance(d, dict) or not isinstance(d.get("grid", {}), dict):
+            raise ValueError("a sweep config and its grid must be JSON objects")
+        keys = [f.name for f in fields(cls)]
+        for key in sorted(d.keys() - keys):
+            raise ValueError(f"unknown sweep config key {key!r}; "
+                             f"the keys are {', '.join(keys)}")
         if "command" not in d:
             raise ValueError("sweep config lacks the required key 'command'")
-        return cls(command=d["command"], grid=dict(d.get("grid", {})),
-                   tol=float(d.get("tol", DEFAULT_TOL)),
-                   seed=int(d.get("seed", DEFAULT_SEED)),
+        threads = d.get("threads")
+        return cls(command=str(d["command"]), grid=dict(d.get("grid", {})),
+                   tol=_real("tol", d.get("tol", DEFAULT_TOL)),
+                   seed=_integer("seed", d.get("seed", DEFAULT_SEED)),
                    out_dir=str(d.get("out_dir", ".")),
-                   threads=d.get("threads"))
+                   threads=None if threads is None else _integer("threads", threads))
 
 
 @dataclass

@@ -26,8 +26,8 @@ import numpy as np
 
 from .cantor import (Alphabet, CantorSet, CapacityError,
                      build_alphabet_interval, cantor_elements)
-from .spectral import (FFT_BUDGET, NORM_METHODS, FupExponentReport, NormCertificate,
-                       beta_k, masked_norm, shaped_like)
+from .spectral import (DEFAULT_SEED, DEFAULT_TOL, FFT_BUDGET, NORM_METHODS, FupExponentReport,
+                       NormCertificate, beta_k, masked_norm, shaped_like)
 
 PRODUCT_CHECK_BUDGET = 2**20
 # 1 - x/2 >= e^{-x} fails past x ~ 1.5936; stay strictly inside
@@ -375,8 +375,8 @@ class Theorem1Report:
 
 
 def theorem1_certificate(M: int, delta: float, k: int,
-                         grid_points: int = 100_000, tol: float = 1e-10,
-                         seed: int = 0, method: str = "lanczos",
+                         grid_points: int = 100_000, tol: float = DEFAULT_TOL,
+                         seed: int = DEFAULT_SEED, method: str = "lanczos",
                          y_samples: int = 20_001) -> Theorem1Report:
     """End-to-end certificate that beta_k is exponentially small in M.
 

@@ -152,9 +152,11 @@ def test_gelfand_comparison_branch():
 
 
 @pytest.mark.parametrize("N, M, letters, cutoff",
-                         [(81, 3, (0, 2), "bump"), (64, 4, (0, 3), "sharp")])
+                         [(81, 3, (0, 2), "bump"), (64, 4, (0, 3), "sharp"),
+                          (81, 9, (0, 1, 2), "bump"), (256, 4, (0, 3), "bump")])
 def test_gelfand_powers_match_dense_oracle(monkeypatch, N, M, letters, cutoff):
-    # the levels run on the |A| N/M alphabet rows and must still give ||B^n||_2
+    # the levels run on the |A| N/M alphabet rows and must still give ||B^n||_2,
+    # also where ||B^n||^2 is far below 1 (n = 8 at the last two inputs)
     bmap = BakerMap(N, M, Alphabet(M, letters), make_cutoff(cutoff, N // M))
     B = np.column_stack([bmap.apply(e) for e in np.eye(N)])
     dims = []
@@ -169,6 +171,7 @@ def test_gelfand_powers_match_dense_oracle(monkeypatch, N, M, letters, cutoff):
     monkeypatch.undo()
     iterated = [d["n"] for d in rep.diagnostics if d["source"] == "iteration"]
     assert iterated and dims == [len(letters) * N // M] * len(iterated)
+    assert all(d["converged"] for d in rep.diagnostics)
     ups = dict(rep.powers)
     for n in iterated:
         exact = np.linalg.norm(np.linalg.matrix_power(B, n), 2)
@@ -189,6 +192,8 @@ def test_gelfand_validation():
         gelfand_bound(bmap, n_max=0)
     with pytest.raises(ValueError):
         gelfand_bound(bmap, method="secant")
+    with pytest.raises(ValueError, match="Gelfand bounds take lanczos, power-iteration"):
+        gelfand_bound(bmap, method="dense-svd")
     for tol in (np.nan, np.inf, -1.0):
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             gelfand_bound(bmap, n_max=2, tol=tol)

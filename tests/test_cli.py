@@ -102,6 +102,16 @@ def test_baker_subcommand(capsys):
     assert [p[0] for p in d["powers"]] == [1, 2, 4]
 
 
+def test_baker_resolves_tiny_gram_levels(capsys):
+    # ||B^16||^2 is about 6e-15 here; each level's Lanczos must still converge
+    t0 = time.perf_counter()
+    d = _run_json(capsys, ["baker", "--N", "2187", "--M", "3", "--alphabet", "0,2",
+                           "--cutoff", "bump"])
+    assert time.perf_counter() - t0 < 10.0
+    assert all(level["converged"] for level in d["diagnostics"])
+    assert d["rho_upper"] == pytest.approx(0.3603, abs=1e-4)
+
+
 def test_baker_custom_cutoff(tmp_path, capsys):
     path = tmp_path / "chi.csv"
     path.write_text(",".join(str(v) for v in np.linspace(0, 1, 9)) + "\n")
@@ -224,6 +234,33 @@ def test_sweep_config_without_command(tmp_path, capsys):
     cfg.write_text(json.dumps({"grid": {"M": 16, "Mdelta": 4, "alpha": 5}}))
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "lacks the required key 'command'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, message", [
+    ([{"command": "dirichlet"}], "a sweep config and its grid must be JSON objects"),
+    ({"command": "dirichlet", "grid": [1, 2]},
+     "a sweep config and its grid must be JSON objects"),
+    ({"command": "dirichlet", "seeds": 3}, "unknown sweep config key 'seeds'"),
+    ({"command": "dirichlet", "tol": None}, "tol must be a real number, got None"),
+    ({"command": "dirichlet", "seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"command": "dirichlet", "threads": "two"}, "threads must be an integer, got 'two'"),
+])
+def test_malformed_sweep_config_exits_2(tmp_path, capsys, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_config_numbers_may_be_strings(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "dirichlet", "tol": "1e-6", "threads": "2",
+                               "grid": {"M": 16, "Mdelta": 4, "alpha": 5}}))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    spec = json.loads((tmp_path / "o" / "run_meta.json").read_text())["spec"]
+    assert (spec["tol"], spec["threads"]) == (1e-6, 2)
 
 
 def test_unknown_method_fails_before_any_work(capsys):

@@ -216,6 +216,18 @@ def test_lanczos_through_thick_restart():
     assert np.linalg.norm(apply(x) - theta * x) <= tol * theta
 
 
+def test_lanczos_breakdown_is_relative_to_the_operator_scale():
+    # a Gram with top eigenvalue ~4e-21: an absolute breakdown threshold
+    # takes every step for an invariant subspace and never converges
+    c = cantor_elements(Alphabet(3, (0, 2)), 6)
+    apply, dim = masked_gram_apply(c, c, c.N)
+    theta, _, matvecs, res = lanczos_top(apply, dim)
+    tiny, _, tiny_matvecs, tiny_res = lanczos_top(lambda v: 1e-20 * apply(v), dim)
+    assert matvecs == tiny_matvecs == 25
+    assert abs(tiny - 1e-20 * theta) <= 1e-12 * 1e-20 * theta
+    assert max(res, tiny_res) <= 1e-10
+
+
 @pytest.mark.parametrize("shape", [(8, 8), (12, 7), (7, 12), (1, 5), (5, 1), (3, 3)])
 def test_jacobi_vs_lapack(shape):
     A = RNG.standard_normal(shape) + 1j * RNG.standard_normal(shape)
