@@ -304,8 +304,12 @@ def sk_estimate(cantor: CantorSet, alpha, grid: int = 4096) -> float:
     """Grid lower estimate of
     S_k = M^{-(1-delta)k} sup_x sum_{j in C_k} |F_k(x + alpha j / M^k)|.
 
-    F_k factors through the digit split as prod_{r<k} F_1(M^r x), which
-    keeps the cost at k alphabet sums per point instead of |C_k| terms.
+    With alpha = p/q and x = s/grid, |F_k(t)| = prod_{r<k} |F_1(M^r t)| lives
+    on the lattice Z_D, D = lcm(grid, q M^k): t = n/D, n = s D/grid +
+    p j D/(q M^k), and M^r t = (M^r n mod D)/D. For D <= min(2^16, grid |C_k|)
+    |F_1| is sampled once on Z_D and |F_k| is k - 1 gathers of it: about
+    D + grid |C_k| sine pairs and gathers, not k grid |C_k| sine pairs.
+    D M must fit int64 (CapacityError).
     """
     if cantor.alpha != 1:
         raise ValueError("sk_estimate takes the undilated C_k; alpha is its own argument")
@@ -314,23 +318,38 @@ def sk_estimate(cantor: CantorSet, alpha, grid: int = 4096) -> float:
         raise ValueError("sk_estimate takes an initial alphabet {0, ..., Mdelta - 1}")
     if cantor.k > SK_MAX_K:
         raise CapacityError(f"sk_estimate limited to k <= {SK_MAX_K}")
-    if L**cantor.k > SK_MAX_ELEMENTS:
+    if cantor.size > SK_MAX_ELEMENTS:
         raise CapacityError(f"sk_estimate limited to |C_k| <= {SK_MAX_ELEMENTS}")
-    elems = cantor.elements.astype(np.float64)
     alpha = Fraction(alpha)
-    if alpha < 1:
-        raise ValueError("alpha must be >= 1")
-    M, k = cantor.alphabet.M, cantor.k
-    offs = float(alpha) * elems / float(M**k)
+    if alpha < 1 or grid < 1:
+        raise ValueError(f"need alpha >= 1 and grid >= 1, got {alpha} and {grid}")
+    M, k, p, q = cantor.alphabet.M, cantor.k, alpha.numerator, alpha.denominator
+    D = math.lcm(grid, q * M**k)
+    if D * M >= 2**63:
+        raise CapacityError(f"S_k lattice size D = {D} times M overflows int64")
+    # Python ints: p j D/(q M^k) may pass 2^63 before the mod
+    offs = np.array([p * j * (D // (q * M**k)) % D for j in cantor.elements.tolist()])
+
+    def f1(m):  # |F_1(m / D)|
+        return f1_abs(L, m / D)
+
+    def fk_abs(n, f):  # |F_k(n / D)| = prod_r f(M^r n mod D), f(m) = |F_1(m / D)|
+        acc = f(n)
+        for _ in range(1, k):
+            n = n * M % D
+            acc = acc * f(n)
+        return acc
+
+    budget = 2**16  # lattice points per table or chunk, about 1 MB per array
+    table = None
+    if D <= min(budget, grid * offs.size):  # |F_k| on all of Z_D
+        z = np.arange(D)
+        table = fk_abs(z, f1(z).take)
     best = 0.0
-    # 2^16 points per chunk keep t and its products near 1 MB each
-    chunk = max(1, 2**16 // elems.size)
-    for s0 in range(0, grid, chunk):
-        x = np.arange(s0, min(s0 + chunk, grid), dtype=np.float64) / grid
-        t = x[:, None] + offs[None, :]
-        acc = f1_abs(L, t)
-        for r in range(1, k):
-            acc = acc * f1_abs(L, t * float(M**r))
+    rows = max(1, budget // offs.size)
+    for s0 in range(0, grid, rows):
+        n = np.arange(s0, min(s0 + rows, grid))[:, None] * (D // grid) + offs
+        acc = fk_abs(n % D, f1) if table is None else table.take(n, mode="wrap")
         best = max(best, float(acc.sum(axis=1).max()))
     return (L / M) ** k * best
 

@@ -39,7 +39,7 @@ from .cantor import (Alphabet, CantorSet, CapacityError, build_alphabet_initial,
                      build_alphabet_interval, cantor_elements, dilate)
 from .diophantine import best_rational, theorem2_report
 from .spectral import (DEFAULT_SEED, DEFAULT_TOL, ConvergenceError, beta_dilated,
-                       beta_k, masked_norm)
+                       beta_k, check_tol, masked_norm)
 from .testfn import theorem1_certificate
 from . import __version__ as _pkg_version
 from .serialize import dumps_canonical, sanitize, write_csv, write_json, write_jsonl
@@ -281,6 +281,7 @@ def run_sweep(spec: SweepSpec) -> RunRecord:
     for key, default in params.items():
         if default is REQUIRED and key not in spec.grid:
             raise ValueError(f"{spec.command} grid lacks the required key {key!r}")
+    check_tol(spec.tol)
     runner, cols = _RUNNERS[spec.command]
     points = _expand(spec.grid)
     spec_hash = hashlib.sha256(dumps_canonical(spec.to_json()).encode()).hexdigest()

@@ -253,6 +253,22 @@ def test_malformed_sweep_config_exits_2(tmp_path, capsys, config, message):
     assert not (tmp_path / "o").exists()
 
 
+def test_sweep_refuses_bad_tol_like_the_command(tmp_path, capsys):
+    assert main(["beta", "--M", "3", "--alphabet", "0,2", "--k", "2", "--tol", "-1"]) == 2
+    reason = capsys.readouterr().err
+    assert reason == "error: tol must be positive and finite, got -1.0\n"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "beta", "tol": -1,
+                               "grid": {"M": 3, "alphabet": "0,2", "k": [2, 3]}}))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == reason
+    assert not (tmp_path / "o").exists()
+    # the --tol flag wins over the config, so a good flag runs the sweep
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--tol", "1e-10"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] == 2
+
+
 def test_sweep_config_numbers_may_be_strings(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"command": "dirichlet", "tol": "1e-6", "threads": "2",

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import fup.diophantine
 from fup.cantor import (Alphabet, CapacityError, build_alphabet_initial,
                         cantor_elements, dilate)
 from fup.diophantine import (G_TABLE_MAX, best_rational, canonical_dilation,
@@ -309,6 +310,63 @@ def test_sk_estimate_caps():
         sk_estimate(dilate(cantor_elements(a, 2), 2), 2)
     with pytest.raises(ValueError):  # initial alphabets only
         sk_estimate(cantor_elements(Alphabet(4, (0, 3)), 2), 1)
+
+
+@pytest.mark.parametrize("M, Mdelta, k, alpha, grid, table", [
+    (16, 4, 1, Fraction(11, 3), 512, True),     # D = 1536
+    (9, 3, 2, Fraction(7, 3), 1944, True),      # D = 1944 = grid
+    (16, 4, 3, Fraction(3, 2), 512, True),      # D = 8192
+    (9, 3, 2, Fraction(7, 3), 256, False),      # D = 62208 > grid |C_k| = 2304
+    (25, 5, 2, Fraction(13, 4), 256, False),    # D = 160000 > 2^16
+    (4, 2, 3, Fraction(3, 2), 65664, False),    # D = 65664 = 2^16 + 128
+])
+def test_sk_estimate_matches_direct_sum_at_exact_arguments(monkeypatch, M, Mdelta, k,
+                                                             alpha, grid, table):
+    c = cantor_elements(build_alphabet_initial(M, Mdelta), k)
+    # x_s + alpha j / M^k = (s q M^k + p j grid) / (grid q M^k), reduced mod 1 in
+    # integers and rounded once, as float(Fraction(...)) would
+    p, q = alpha.numerator, alpha.denominator
+    den = grid * q * M**k
+    num = np.arange(grid)[:, None] * (q * M**k) + p * grid * c.elements
+    t = (num % den) / den
+    direct = (Mdelta / M) ** k * np.abs(fk_eval(c, t)).sum(axis=1).max()
+    assert float(Fraction(int(num[-1, -1]), den) % 1) == t[-1, -1]
+    sizes = []
+    real_f1_abs = fup.diophantine.f1_abs
+    monkeypatch.setattr(fup.diophantine, "f1_abs",
+                        lambda L, x: sizes.append(np.size(x)) or real_f1_abs(L, x))
+    sk = sk_estimate(c, alpha, grid=grid)
+    assert sk == pytest.approx(direct, rel=1e-12, abs=0)
+    D = math.lcm(grid, q * M**k)
+    if table:  # one |F_1| sample per lattice point
+        assert sizes == [D]
+    else:  # k samples per (grid point, element), in chunks of at most 2^16
+        assert max(sizes) <= 2**16 and sum(sizes) == k * grid * c.size
+
+
+def test_sk_estimate_refuses_lattices_past_int64(monkeypatch):
+    monkeypatch.setattr(fup.diophantine, "f1_abs", None)  # nothing may be evaluated
+    a = Alphabet(2**16, (0, 1))
+    t0 = time.monotonic()
+    for k, alpha, grid in [(3, 1, 4096), (3, Fraction(3, 2), 3), (3, 1, 2**40),
+                           (2, 1, 2**40 + 1)]:
+        c = cantor_elements(a, k)  # D = lcm(grid, q 2^(16 k)), D M >= 2^63
+        with pytest.raises(CapacityError, match="overflows int64"):
+            sk_estimate(c, alpha, grid=grid)
+        assert "elements" not in vars(c)
+    # M^4 = 2^64 is past the index budget before sk_estimate is reached
+    with pytest.raises(CapacityError):
+        cantor_elements(a, 4)
+    assert time.monotonic() - t0 < 1.0
+
+
+def test_sk_estimate_refuses_empty_grid():
+    c = cantor_elements(build_alphabet_initial(16, 4), 2)
+    for grid in (0, -5):
+        with pytest.raises(ValueError, match="grid >= 1"):
+            sk_estimate(c, 5, grid=grid)
+    with pytest.raises(ValueError, match="grid >= 1"):
+        theorem2_report(16, 4, 2, 5, outer_grid=5_000, sk_grid=0)
 
 
 def test_sk_estimate_memory_stays_small():
