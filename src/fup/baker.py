@@ -29,9 +29,6 @@ from .diophantine import best_rational, canonical_dilation
 from .spectral import (DEFAULT_SEED, DEFAULT_TOL, FFT_BUDGET, ConvergenceError,
                        check_tol, lanczos_top, power_top)
 
-# level n records ||B^{n/2}||^2 uniterated below this: a saving, not a resolution limit
-NOISE_FLOOR = 1e-6
-
 
 @dataclass(frozen=True, eq=False)
 class CutoffProfile:
@@ -159,20 +156,16 @@ def gelfand_bound(bmap: BakerMap, n_max: int = 64, tol: float = DEFAULT_TOL,
                   method: str = "lanczos") -> GelfandReport:
     """Certified upper bound on the spectral radius of B.
 
-    For n in the doubling schedule 1, 2, 4, ..., n_max the Gram operator of
-    B^n, restricted to the |A| W alphabet rows (exact, by the identity
-    (B^n)^* B^n = R^* R (B^n)^* B^n R^* R of the module docstring), is
-    driven to a top Ritz pair; ||B^n||^2 is upper-estimated by the
-    Rayleigh quotient plus its absolute residual, which covers the remaining
-    gap once the iteration has locked onto the top cluster. A level that
-    does not converge records the submultiplicative bound ||B^{n/2}||^2
-    instead (||B|| <= 1 at n = 1; source "submultiplicative-fallback", with
-    its Ritz value kept in the diagnostics), since an unconverged Ritz value
-    may sit below ||B^n||. Once the
-    submultiplicative prediction ||B^{n/2}||^2 falls below NOISE_FLOOR,
-    that prediction is recorded without iterating (diagnostics carry source
-    "submultiplicative"); this never changes rho_upper because
-    (u^2)^{1/2n} = u^{1/n}, though the Gram there is still resolvable.
+    Each level n = 1, 2, 4, ..., n_max drives the Gram of B^n on the |A| W
+    alphabet rows (module docstring) to a top Ritz pair and records
+    ||B^n|| <= sqrt(theta (1 + residual)); the residual covers the remaining
+    gap once the iteration has locked onto the top cluster. Every level
+    iterates, at 2n applications of B or B^* per matvec. A level whose solver
+    raises ConvergenceError (out of budget, with a Ritz value that may sit
+    below ||B^n||, or ||B^n||^2 below what doubles resolve) records the
+    square of the previous level's bound, starting from ||B|| <= 1, with
+    source "submultiplicative-fallback"; a square that underflows to 0.0 is
+    recorded as math.ulp(0.0), which is still above the exact square.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -185,32 +178,24 @@ def gelfand_bound(bmap: BakerMap, n_max: int = 64, tol: float = DEFAULT_TOL,
     M, W, rows = bmap.M, bmap.N // bmap.M, bmap._rows
     powers = []
     diagnostics = []
-    prev_upper = None
-    n = 1
-    while n <= n_max:
-        if prev_upper is not None and prev_upper * prev_upper < NOISE_FLOOR:
-            norm_upper = prev_upper * prev_upper
-            theta, res, its = norm_upper**2, 0.0, 0
-            converged, source = True, "submultiplicative"
-        else:
-            def gram(v, _n=n):
-                full = np.zeros((M, W), dtype=np.complex128)
-                full[rows] = v.reshape(-1, W)
-                return bmap.gram_apply(full.reshape(-1), _n).reshape(M, W)[rows].reshape(-1)
-            try:
-                theta, _, its, res = engine(gram, rows.size * W, tol, seed)
-                norm_upper = math.sqrt(max(theta, 0.0) * (1.0 + res))
-                converged, source = True, "iteration"
-            except ConvergenceError as err:
-                theta, res, its = err.sigma_best**2, err.residual, err.iterations
-                norm_upper = 1.0 if prev_upper is None else prev_upper * prev_upper
-                converged, source = False, "submultiplicative-fallback"
+    norm_upper = 1.0  # ||B|| <= 1; each level's fallback squares the level before
+    for n in (2**j for j in range(n_max.bit_length())):
+        def gram(v, _n=n):
+            full = np.zeros((M, W), dtype=np.complex128)
+            full[rows] = v.reshape(-1, W)
+            return bmap.gram_apply(full.reshape(-1), _n).reshape(M, W)[rows].reshape(-1)
+        try:
+            theta, _, its, res = engine(gram, rows.size * W, tol, seed)
+            norm_upper = math.sqrt(max(theta, 0.0) * (1.0 + res))
+            converged, source = True, "iteration"
+        except ConvergenceError as err:
+            theta, res, its = err.sigma_best**2, err.residual, err.iterations
+            norm_upper = max(norm_upper * norm_upper, math.ulp(0.0))
+            converged, source = False, "submultiplicative-fallback"
         powers.append((n, norm_upper))
         diagnostics.append({"n": n, "theta": theta, "residual": res,
                             "iterations": its, "converged": converged,
                             "source": source})
-        prev_upper = norm_upper
-        n *= 2
     rho_upper = min(u ** (1.0 / m) for m, u in powers)
     comparison = None
     letters = bmap.alphabet.letters

@@ -399,6 +399,8 @@ def theorem2_report(M: int, Mdelta: int, k: int, alpha, eps: float = 0.0,
     """
     if Mdelta * Mdelta > M:
         raise ValueError("initial alphabets require Mdelta^2 <= M (delta <= 1/2)")
+    if sk_grid < 1:  # sk_estimate's own check comes after its caps and the norm
+        raise ValueError(f"need sk_grid >= 1, got {sk_grid}")
     alpha = Fraction(alpha)
     alphabet = build_alphabet_initial(M, Mdelta)
     cantor = cantor_elements(alphabet, k)

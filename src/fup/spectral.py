@@ -182,6 +182,15 @@ def _pruned_gram_apply(X: CantorSet):
     return apply, L**k
 
 
+def _check_resolvable(scale: float, dim: int, matvecs: int) -> None:
+    """Refuse A while its largest |A v| over unit v, a lower bound on |A|, is
+    below sqrt(dim tiny)/eps = 6.7e-139 sqrt(dim): the eps-relative parts of
+    A v, residuals among them, then underflow when squared inside a norm."""
+    if scale < math.sqrt(dim * np.finfo(float).tiny) / np.finfo(float).eps:
+        raise ConvergenceError(f"largest |A v| = {scale:.3e} is below what doubles resolve "
+                               f"in dimension {dim}", math.sqrt(scale), math.inf, matvecs)
+
+
 def power_top(apply, dim: int, tol: float = DEFAULT_TOL,
               seed: int = DEFAULT_SEED, max_iterations: int = MAX_POWER_ITERATIONS):
     """Orthogonal (block power) iteration on a Hermitian PSD operator.
@@ -192,7 +201,8 @@ def power_top(apply, dim: int, tol: float = DEFAULT_TOL,
     the whole cluster at once. Each step applies the operator to every
     block column, re-orthonormalizes, and extracts the top Rayleigh-Ritz
     pair; convergence is the explicit residual ||A y - theta y|| <= tol
-    * theta. max_iterations caps operator applications, not steps.
+    * theta. max_iterations caps operator applications, not steps, and
+    ConvergenceError also refuses A as _check_resolvable does.
     """
     rng = np.random.default_rng(seed)
     b = max(1, min(POWER_BLOCK, dim))
@@ -211,6 +221,7 @@ def power_top(apply, dim: int, tol: float = DEFAULT_TOL,
         Vt = V[:, :bt]
         W = np.column_stack([apply(Vt[:, j]) for j in range(bt)])
         used += bt
+        _check_resolvable(float(np.linalg.norm(W, axis=0).max()), dim, used)
         H = Vt.conj().T @ W
         evals, evecs = np.linalg.eigh(0.5 * (H + H.conj().T))
         theta = float(evals[-1])
@@ -267,9 +278,9 @@ def lanczos_top(apply, dim: int, tol: float = DEFAULT_TOL,
     of masked-DFT Gram operators where plain power iteration stalls. Returns
     (theta, vector, matvecs, residual) with residual = |A v - theta v| / theta
     measured by an explicit extra application; ConvergenceError carries the
-    last such check. The basis starts with a few rows and doubles up to
-    LANCZOS_NCV as the iteration needs them, so its memory follows the
-    matvecs used rather than LANCZOS_NCV.
+    last such check, or refuses A as _check_resolvable does. The basis starts
+    with a few rows and doubles up to LANCZOS_NCV as the iteration needs
+    them, so its memory follows the matvecs used rather than LANCZOS_NCV.
     """
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -300,6 +311,7 @@ def lanczos_top(apply, dim: int, tol: float = DEFAULT_TOL,
         w = apply(V[j])
         matvecs += 1
         scale = max(scale, float(np.linalg.norm(w)))
+        _check_resolvable(scale, dim, matvecs)
         T[j, j] = float(np.vdot(V[j], w).real)
         w, beta = orthogonalize(w - T[first : j + 1, j] @ V[first : j + 1], j)
         at_cap = j + 1 == ncv

@@ -103,13 +103,28 @@ def test_baker_subcommand(capsys):
 
 
 def test_baker_resolves_tiny_gram_levels(capsys):
-    # ||B^16||^2 is about 6e-15 here; each level's Lanczos must still converge
+    # ||B^64||^2 is about 1e-64 here; every level's Lanczos must still converge.
+    # The dense spectral radius of B is 0.3026; ||K^16||^{1/16} <= 0.351 on the
+    # compression K = R B R^*
     t0 = time.perf_counter()
     d = _run_json(capsys, ["baker", "--N", "2187", "--M", "3", "--alphabet", "0,2",
                            "--cutoff", "bump"])
     assert time.perf_counter() - t0 < 10.0
+    assert [level["n"] for level in d["diagnostics"]] == [1, 2, 4, 8, 16, 32, 64]
+    assert all(level["source"] == "iteration" for level in d["diagnostics"])
     assert all(level["converged"] for level in d["diagnostics"])
-    assert d["rho_upper"] == pytest.approx(0.3603, abs=1e-4)
+    assert 0.3026 <= d["rho_upper"] <= 0.351
+
+
+def test_baker_deep_schedule_stays_sound_and_fast(capsys):
+    # levels past n = 128 are below what doubles resolve and fall back at one
+    # matvec each; the dense spectral radius of B is 0.3011103
+    t0 = time.perf_counter()
+    d = _run_json(capsys, ["baker", "--N", "243", "--M", "3", "--alphabet", "0,2",
+                           "--cutoff", "bump", "--nmax", "16384"])
+    assert time.perf_counter() - t0 < 10.0
+    assert d["rho_upper"] >= 0.30111
+    assert all(u > 0.0 for _, u in d["powers"])
 
 
 def test_baker_custom_cutoff(tmp_path, capsys):

@@ -369,6 +369,20 @@ def test_sk_estimate_refuses_empty_grid():
         theorem2_report(16, 4, 2, 5, outer_grid=5_000, sk_grid=0)
 
 
+@pytest.mark.parametrize("k", [2, 4, 5])
+def test_theorem2_refuses_empty_sk_grid_before_any_norm(monkeypatch, k):
+    # at k = 5 sk_estimate refuses C_k by its caps before it reads the grid,
+    # so only theorem2_report's own check can see sk_grid = 0
+    calls = []
+    for name in ("masked_norm", "g_bound", "sk_estimate"):
+        monkeypatch.setattr(fup.diophantine, name,
+                            lambda *a, _name=name, **kw: calls.append(_name))
+    for grid in (0, -5):
+        with pytest.raises(ValueError, match="sk_grid >= 1"):
+            theorem2_report(16, 4, k, 5, sk_grid=grid)
+    assert calls == []
+
+
 def test_sk_estimate_memory_stays_small():
     # the 4096-point grid runs in chunks of 2^16 evaluation points
     c = cantor_elements(build_alphabet_initial(16, 4), 4)

@@ -228,6 +228,25 @@ def test_lanczos_breakdown_is_relative_to_the_operator_scale():
     assert max(res, tiny_res) <= 1e-10
 
 
+@pytest.mark.parametrize("engine", [lanczos_top, power_top])
+def test_solvers_refuse_what_doubles_cannot_resolve(engine):
+    # at 1e-200 the squares of the entries of A v underflow, so a residual can
+    # read 0 for a wrong eigenvalue (0.1031 and 0.1447 against 0.3714 once
+    # returned). At 1e-120 |A v| is far above sqrt(dim tiny)/eps = 5.4e-138
+    c = cantor_elements(Alphabet(3, (0, 2)), 6)
+    apply, dim = masked_gram_apply(c, c, c.N)
+    exact = np.linalg.norm(dft_submatrix(c, c, c.N), 2) ** 2
+    with pytest.raises(ConvergenceError, match="below what doubles resolve"):
+        engine(lambda v: 1e-200 * apply(v), dim)
+    theta = engine(lambda v: 1e-120 * apply(v), dim)[0]
+    assert abs(theta / 1e-120 - exact) <= 1e-12 * exact
+    # the limit itself, on a multiple of the identity, where |A v| = s exactly
+    limit = math.sqrt(dim * np.finfo(float).tiny) / np.finfo(float).eps
+    with pytest.raises(ConvergenceError):
+        engine(lambda v: 0.99 * limit * v, dim)
+    assert engine(lambda v: 1.01 * limit * v, dim)[0] == pytest.approx(1.01 * limit)
+
+
 @pytest.mark.parametrize("shape", [(8, 8), (12, 7), (7, 12), (1, 5), (5, 1), (3, 3)])
 def test_jacobi_vs_lapack(shape):
     A = RNG.standard_normal(shape) + 1j * RNG.standard_normal(shape)
