@@ -14,19 +14,19 @@ refuses an input above its own budget before it builds anything:
   gather Y. Cost O(N log N) per application, for any masks, and N is
   capped at FFT_BUDGET.
 - Digit-pruned transform (FFT pruning, Markel 1971), for X = Y = alpha C_k
-  with an integer alpha and N = alpha M^k, whose entries are
-  e^{-2 pi i alpha xy/M^k} for x, y in C_k. Write W_{n_0} for the
-  depth-(j-1) transform of the subsequence of words with lowest digit n_0
-  in A, m = m_low + M^{j-1} m_top with m_low in C_{j-1} and m_top in A,
-  F_A[a, b] = e^{-2 pi i alpha ab/M} and
-  tw_j[a, m_low] = e^{-2 pi i alpha a m_low/M^j}. Since alpha is an
-  integer, alpha m_top times the higher digits of a column is too, so
-      output(m_low + M^{j-1} m_top)
-          = sum_{n_0 in A} F_A[m_top, n_0] tw_j[n_0, m_low] W_{n_0}(m_low),
-  and after one digit-reversal permutation, k stages of |A| x |A| blocks
-  give the transform at cost O(k |A|^{k+1}), and every intermediate has
-  |A|^k entries, capped at PRUNED_BUDGET. The submatrix is symmetric, so
-  its adjoint is conj o F o conj.
+  with an integer alpha and N = alpha M^k: the submatrix is T/sqrt(N),
+  T[m, n] = e^{-2 pi i alpha mn/M^k} on C_k. With n = sum_j e_j M^{k-1-j},
+  m = sum_j c_j M^j and m_j = sum_{i<j} c_i M^i, e_j's phase is
+  alpha e_j (c_j/M + m_j/M^{j+1}) mod 1: stage j multiplies by
+  tw_j[e_j, m_j] = e^{-2 pi i alpha e_j m_j/M^{j+1}}, then contracts e_j
+  into c_j by F_A[c, e] = e^{-2 pi i alpha ce/M}. Its input is laid out
+  (e_j, ..., e_{k-1}, c_0, ..., c_{j-1}) in C order (v at j = 0; tw_j has
+  c_0 leading), so x.reshape(|A|, -1).T @ F_A.T is one GEMM whose output
+  is the next layout (self-sorting; Cochran et al. 1967). The k stages
+  give P T, P the digit reversal, and (P T)* (P T) = T* T, so no reversal
+  runs and the adjoint is the stages reversed: F_A^H @ x.reshape(-1, |A|).T,
+  then times conj(tw_j). A transform is k GEMMs of |A| x |A| by
+  |A| x |A|^{k-1}, O(k |A|^{k+1}), on |A|^k entries, capped at PRUNED_BUDGET.
 
 masked_gram_apply takes the pruned route when it applies and its cost
 k |A|^{k+1} is below N; otherwise the FFT route. Rational alpha, X != Y
@@ -149,35 +149,34 @@ def masked_gram_apply(X, Y, N: int):
 
 
 def _pruned_gram_apply(X: CantorSet):
-    """Gram of the masked DFT on X x X, X = alpha C_k with an integer alpha
-    and N = alpha M^k, by the digit-pruned transform of the module
-    docstring."""
+    """Gram of the masked DFT on X x X by the pruned transform of the module docstring."""
     if X.size > PRUNED_BUDGET:
         raise CapacityError(f"|A|^k = {X.alphabet.size}^{X.k} exceeds the pruned budget 2^22")
     M, k, alpha = X.alphabet.M, X.k, X.alpha.numerator
     A = np.asarray(X.alphabet.letters, dtype=np.int64)
     L = A.size
     FA = np.exp((-2j * np.pi / M) * np.outer((alpha * A) % M, A))
-    # reading the words' digits lowest first gives the stage-0 order
-    reverse = np.arange(L**k).reshape((L,) * k).T.reshape(-1)
-    twiddles = []
-    low = np.zeros(1, dtype=np.int64)  # C_0, sorted
-    for j in range(1, k + 1):
-        # alpha * a * m_low < alpha M^j <= N <= 2^53 is exact in int64, and
+    FAh = FA.conj().T
+    twiddles = []  # tw_1, ..., tw_{k-1}
+    low = np.zeros(1, dtype=np.int64)  # m_j over (c_0, ..., c_{j-1}), c_0 leading
+    for j in range(1, k):
+        low = (low[:, None] + M ** (j - 1) * A).reshape(-1)
+        # alpha * e * m_j < alpha M^{j+1} <= N <= 2^53 is exact in int64, and
         # the mod (a no-op at alpha = 1) puts each phase in [0, 2 pi)
-        phase = (alpha * np.outer(A, low)) % M**j
-        twiddles.append(np.exp((-2j * np.pi / M**j) * phase))
-        low = (low + M ** (j - 1) * A[:, None]).reshape(-1)
-
-    def transform(x):
-        x = x[reverse]
-        for j, tw in enumerate(twiddles):
-            x = (FA @ (x.reshape(-1, L, L**j) * tw)).reshape(-1)
-        return x
+        phase = (alpha * np.outer(A, low)) % M ** (j + 1)
+        twiddles.append(np.exp((-2j * np.pi / M ** (j + 1)) * phase)[:, None, :])
 
     def apply(v):
-        w = transform(np.asarray(v, dtype=np.complex128))
-        return np.conj(transform(np.conj(w))) / X.N
+        x = np.asarray(v, dtype=np.complex128).reshape(L, -1).T @ FA.T
+        for tw in twiddles:
+            y = x.reshape(L, -1, tw.shape[2])
+            y *= tw
+            x = y.reshape(L, -1).T @ FA.T
+        for tw in reversed(twiddles):
+            x = FAh @ x.reshape(-1, L).T
+            y = x.reshape(L, -1, tw.shape[2])
+            y *= np.conj(tw)
+        return (FAh @ x.reshape(-1, L).T).reshape(-1) / X.N
 
     return apply, L**k
 

@@ -144,6 +144,40 @@ def test_gram_route_choice(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("alphabet, k, alpha", [
+    (Alphabet(4, (0, 3)), 10, 1),  # N = 2^20
+    (Alphabet(3, (0, 2)), 12, 1),
+    (Alphabet(5, (1, 2, 3)), 7, 1),
+    (Alphabet(16, (0, 1, 2, 3)), 4, 5),
+])
+def test_pruned_gram_matches_fft_beyond_dense_reach(alphabet, k, alpha):
+    # up to |A|^k = 4096, past the dense oracle's 729: the same set as an
+    # index list takes the FFT route; the Grams are small, so compare to scale
+    d = dilate(cantor_elements(alphabet, k), alpha)
+    pruned, dim = _pruned_gram_apply(d)
+    fft, _ = masked_gram_apply(list(d.elements), list(d.elements), d.N)
+    rng = np.random.default_rng(k)
+    for _ in range(2):
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        w = fft(v)
+        assert np.max(np.abs(pruned(v) - w)) < 1e-12 * np.max(np.abs(w))
+
+
+def test_pruned_apply_memory():
+    # one warm application holds at most 4 vectors of |A|^k complex128
+    c = cantor_elements(Alphabet(3, (0, 2)), 16)
+    apply, dim = _pruned_gram_apply(c)
+    v = RNG.standard_normal(dim) + 1j * RNG.standard_normal(dim)
+    apply(v)
+    tracemalloc.start()
+    try:
+        apply(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 16 * dim
+
+
 def test_pruned_route_reaches_deep_k():
     # N = 3^16 = 4.3e7, beyond what the FFT route handles in seconds
     c16 = cantor_elements(Alphabet(3, (0, 2)), 16)
