@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -114,11 +113,12 @@ def cmd_dirichlet(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    spec = SweepSpec.from_json(json.loads(Path(args.config).read_text(encoding="utf-8")))
-    # flags win over the config file
-    spec = replace(spec, **_given(args, SOLVER_FLAGS + ("threads",)),
-                   out_dir=args.out or spec.out_dir)
-    record = run_sweep(spec)
+    config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    if isinstance(config, dict):  # flags win over the config file
+        config.update(_given(args, SOLVER_FLAGS + ("threads",)))
+        if args.out:
+            config["out_dir"] = args.out
+    record = run_sweep(SweepSpec.from_json(config))
     print(dumps_canonical({"spec_hash": record.spec_hash,
                            "ok": record.n_ok, "skipped": record.n_skipped,
                            "failed": record.n_failed, "paths": record.paths}))

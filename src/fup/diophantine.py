@@ -105,8 +105,6 @@ def best_rational(alpha, M: int, Mdelta: int, regime: str = "strict") -> Rationa
     x = alpha / M
     best = None  # (q, error, b)
     for b, q in _cf_candidates(x, Mdelta):
-        if q > Mdelta:
-            continue
         err = abs(x - Fraction(b, q))
         cap = Fraction(1, q * Mdelta)
         if err > cap or (regime == "strict" and err == cap):
@@ -243,9 +241,13 @@ def _cyclic_window_max(f: np.ndarray, n: int) -> np.ndarray:
 
 def _max_shifted_sum(terms) -> float:
     """max_i sum over (t, s) in terms of t_{(i + s) mod P}."""
-    acc = 0.0
+    terms = iter(terms)
+    t, s = next(terms)
+    acc = np.roll(t, -s)
     for t, s in terms:
-        acc = acc + np.roll(t, -s)
+        s %= t.size
+        acc[:t.size - s] += t[s:]
+        acc[t.size - s:] += t[:s]
     return float(acc.max())
 
 

@@ -4,12 +4,14 @@ _RUNNERS is the one implementation of each sweepable operation (beta,
 theorem1, theorem2, dirichlet, baker): it parses the parameters, applies the
 defaults and checks, and returns a flat summary row plus the full report.
 A runner's arguments before `*` are the operation's parameters, and its
-signature is their one declaration: one without a default is required. The
-sweep checks grid keys against it, and the CLI subcommands of the same names
-take their flags from it and call these runners too.
+signature is their one declaration: one without a default is required. A
+SweepSpec checks its grid keys against it, and the CLI subcommands of the same
+names take their flags from it and call these runners too.
 
-A sweep expands a parameter grid in a fixed order, runs each point in a
-thread pool (points are pure functions of their parameters and the seed),
+A SweepSpec checks every field when it is made, from a JSON config, `fup
+sweep` flags or Python alike, so run_sweep takes it as given. A sweep expands
+the grid in a fixed order, runs its points in order or, with threads > 1, in
+a thread pool (points are pure functions of their parameters and the seed),
 and writes three artifacts: results.jsonl (full nested records, one per
 point, in grid order), summary.csv (fixed flat columns per command), and
 run_meta.json (spec hash, versions, wall time). The first two are part of
@@ -28,7 +30,7 @@ import itertools
 import platform
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -46,6 +48,7 @@ from .serialize import dumps_canonical, sanitize, write_csv, write_json, write_j
 
 SANDWICH_SLACK = 1e-9
 REQUIRED = inspect.Parameter.empty
+NOT_OBJECTS = "a sweep config and its grid must be JSON objects"
 
 
 def parse_alpha(text) -> Fraction:
@@ -68,7 +71,8 @@ def parse_alphabet_spec(M: int, spec: str) -> Alphabet:
 
 @dataclass
 class SweepSpec:
-    """Grid description: every grid value may be a scalar or a list."""
+    """A sweep request, checked however it was made (ValueError if bad); every
+    grid value is a list and the grid keys are the command's parameters."""
 
     command: str
     grid: dict
@@ -77,28 +81,41 @@ class SweepSpec:
     out_dir: str = "."
     threads: int | None = None
 
-    def to_json(self) -> dict:
-        d = asdict(self)
-        d["grid"] = {k: list(v) if isinstance(v, (list, tuple)) else [v]
+    def __post_init__(self):
+        if not isinstance(self.grid, dict):
+            raise ValueError(NOT_OBJECTS)
+        self.tol, self.seed = _real("tol", self.tol), _integer("seed", self.seed)
+        if self.threads is not None:
+            self.threads = _integer("threads", self.threads)
+            if self.threads < 1:
+                raise ValueError(f"threads must be at least 1, got {self.threads}")
+        self.command, self.out_dir = str(self.command), str(self.out_dir)
+        if self.command not in _RUNNERS:
+            raise ValueError(f"command {self.command!r} is not sweepable; "
+                             f"choose from {sorted(_RUNNERS)}")
+        params = parameters(self.command)
+        for key in self.grid:
+            if key not in params:
+                raise ValueError(f"unknown {self.command} grid key {key!r}; "
+                                 f"the keys are {', '.join(params)}")
+        for key, default in params.items():
+            if default is REQUIRED and key not in self.grid:
+                raise ValueError(f"{self.command} grid lacks the required key {key!r}")
+        check_tol(self.tol)
+        self.grid = {k: list(v) if isinstance(v, (list, tuple)) else [v]
                      for k, v in self.grid.items()}
-        return d
 
     @classmethod
     def from_json(cls, d) -> "SweepSpec":
-        if not isinstance(d, dict) or not isinstance(d.get("grid", {}), dict):
-            raise ValueError("a sweep config and its grid must be JSON objects")
+        if not isinstance(d, dict):
+            raise ValueError(NOT_OBJECTS)
         keys = [f.name for f in fields(cls)]
         for key in sorted(d.keys() - keys):
             raise ValueError(f"unknown sweep config key {key!r}; "
                              f"the keys are {', '.join(keys)}")
         if "command" not in d:
             raise ValueError("sweep config lacks the required key 'command'")
-        threads = d.get("threads")
-        return cls(command=str(d["command"]), grid=dict(d.get("grid", {})),
-                   tol=_real("tol", d.get("tol", DEFAULT_TOL)),
-                   seed=_integer("seed", d.get("seed", DEFAULT_SEED)),
-                   out_dir=str(d.get("out_dir", ".")),
-                   threads=None if threads is None else _integer("threads", threads))
+        return cls(**{"grid": {}, **d})
 
 
 @dataclass
@@ -106,21 +123,20 @@ class RunRecord:
     spec_hash: str
     command: str
     rows: list
-    n_ok: int = 0
-    n_skipped: int = 0
-    n_failed: int = 0
-    paths: dict = field(default_factory=dict)
+    paths: dict
 
-    @property
-    def failed(self) -> bool:
-        return self.n_failed > 0
+    def _count(self, status: str) -> int:
+        return sum(r["status"] == status for r in self.rows)
+
+    n_ok = property(lambda self: self._count("ok"))
+    n_skipped = property(lambda self: self._count("skipped"))
+    n_failed = property(lambda self: self._count("failed"))
+    failed = property(lambda self: self.n_failed > 0)
 
 
 def _expand(grid: dict) -> list[dict]:
-    keys = sorted(grid.keys())
-    lists = [grid[k] if isinstance(grid[k], (list, tuple)) else [grid[k]]
-             for k in keys]
-    return [dict(zip(keys, combo)) for combo in itertools.product(*lists)]
+    keys = sorted(grid)
+    return [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
 
 
 # --- per-command point runners; each returns (flat_row, detail) -------------
@@ -270,21 +286,9 @@ def run_sweep(spec: SweepSpec) -> RunRecord:
     Points run concurrently but results are collected and written in grid
     order, so output bytes do not depend on the thread count.
     """
-    if spec.command not in _RUNNERS:
-        raise ValueError(f"command {spec.command!r} is not sweepable; "
-                         f"choose from {sorted(_RUNNERS)}")
-    params = parameters(spec.command)
-    for key in spec.grid:
-        if key not in params:
-            raise ValueError(f"unknown {spec.command} grid key {key!r}; "
-                             f"the keys are {', '.join(params)}")
-    for key, default in params.items():
-        if default is REQUIRED and key not in spec.grid:
-            raise ValueError(f"{spec.command} grid lacks the required key {key!r}")
-    check_tol(spec.tol)
     runner, cols = _RUNNERS[spec.command]
     points = _expand(spec.grid)
-    spec_hash = hashlib.sha256(dumps_canonical(spec.to_json()).encode()).hexdigest()
+    spec_hash = hashlib.sha256(dumps_canonical(spec).encode()).hexdigest()
     t0 = time.monotonic()
 
     def run_point(p):
@@ -304,23 +308,18 @@ def run_sweep(spec: SweepSpec) -> RunRecord:
     else:
         rows = [run_point(p) for p in points]
 
-    record = RunRecord(spec_hash=spec_hash, command=spec.command, rows=rows)
-    record.n_ok = sum(r["status"] == "ok" for r in rows)
-    record.n_skipped = sum(r["status"] == "skipped" for r in rows)
-    record.n_failed = sum(r["status"] == "failed" for r in rows)
-
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    results_path = out / "results.jsonl"
-    csv_path = out / "summary.csv"
-    meta_path = out / "run_meta.json"
-    write_jsonl(results_path, rows)
+    record = RunRecord(spec_hash, spec.command, rows, paths={
+        "results": str(out / "results.jsonl"), "summary": str(out / "summary.csv"),
+        "meta": str(out / "run_meta.json")})
+    write_jsonl(record.paths["results"], rows)
     header = cols + ["status", "error"]
-    write_csv(csv_path, header,
+    write_csv(record.paths["summary"], header,
               [[r.get(c) for c in cols] + [r["status"], r.get("error")]
                for r in rows])
-    write_json(meta_path, {
-        "spec": spec.to_json(),
+    write_json(record.paths["meta"], {
+        "spec": spec,
         "spec_hash": spec_hash,
         "elapsed_s": time.monotonic() - t0,
         "versions": {"python": platform.python_version(),
@@ -329,6 +328,4 @@ def run_sweep(spec: SweepSpec) -> RunRecord:
         "counts": {"ok": record.n_ok, "skipped": record.n_skipped,
                    "failed": record.n_failed},
     })
-    record.paths = {"results": str(results_path), "summary": str(csv_path),
-                    "meta": str(meta_path)}
     return record

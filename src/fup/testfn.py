@@ -27,7 +27,7 @@ import numpy as np
 from .cantor import (Alphabet, CantorSet, CapacityError,
                      build_alphabet_interval, cantor_elements)
 from .spectral import (DEFAULT_SEED, DEFAULT_TOL, FFT_BUDGET, NORM_METHODS, FupExponentReport,
-                       NormCertificate, beta_k, masked_norm, shaped_like)
+                       NormCertificate, beta_k, check_tol, masked_norm, shaped_like)
 
 PRODUCT_CHECK_BUDGET = 2**20
 # 1 - x/2 >= e^{-x} fails past x ~ 1.5936; stay strictly inside
@@ -387,6 +387,7 @@ def theorem1_certificate(M: int, delta: float, k: int,
     """
     if method not in NORM_METHODS:
         raise ValueError(f"unknown method {method!r}")
+    check_tol(tol)
     if not 0.5 < delta < 1.0:
         raise ValueError("delta must lie in (1/2, 1)")
     alphabet = build_alphabet_interval(M, delta)

@@ -168,6 +168,14 @@ def test_dilate_rejections():
         dilate(dilate(c1, Fraction(2)), Fraction(2))  # already dilated
 
 
+def test_dilate_refuses_N_past_the_index_budget():
+    # N = (3/2) 2^53 has no exact float index; nothing is built before the refusal
+    c = cantor_elements(Alphabet(2, (0, 1)), 53)
+    with pytest.raises(CapacityError, match=r"N = 13510798882111488 exceeds the 2\^53"):
+        dilate(c, Fraction(3, 2))
+    assert "elements" not in vars(c)
+
+
 def test_dilate_multiple_of_m_ok_at_higher_k():
     # the same alpha that fails at k=1 passes once M^k absorbs the denominator
     c2 = cantor_elements(Alphabet(4, (0, 1)), 2)

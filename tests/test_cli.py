@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: subcommands, exit codes, files, determinism."""
 import argparse
 import dataclasses
+import functools
 import json
 import shlex
 import time
@@ -266,6 +267,70 @@ def test_malformed_sweep_config_exits_2(tmp_path, capsys, config, message):
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
     assert not (tmp_path / "o").exists()
+
+
+DIRICHLET = {"M": 16, "Mdelta": 4, "alpha": 5}
+
+
+@pytest.mark.parametrize("command, grid, extra, message", [
+    ("dirichlet", DIRICHLET, {"tol": None}, "tol must be a real number, got None"),
+    ("dirichlet", DIRICHLET, {"tol": -1}, "tol must be positive and finite, got -1.0"),
+    ("dirichlet", DIRICHLET, {"tol": "abc"}, "tol must be a real number, got 'abc'"),
+    ("dirichlet", DIRICHLET, {"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ("dirichlet", DIRICHLET, {"threads": "two"}, "threads must be an integer, got 'two'"),
+    ("dirichlet", DIRICHLET, {"threads": 0}, "threads must be at least 1, got 0"),
+    ("dirichlet", DIRICHLET, {"threads": -2}, "threads must be at least 1, got -2"),
+    ("dirichlet", {**DIRICHLET, "regmie": "strict"}, {}, "unknown dirichlet grid key 'regmie'"),
+    ("dirichlet", {"M": 16, "Mdelta": 4}, {},
+     "dirichlet grid lacks the required key 'alpha'"),
+    ("norm", DIRICHLET, {}, "command 'norm' is not sweepable"),
+])
+def test_spec_made_in_python_is_checked_like_json(command, grid, extra, message):
+    with pytest.raises(ValueError) as made:
+        SweepSpec(command, grid, **extra)
+    with pytest.raises(ValueError) as read:
+        SweepSpec.from_json({"command": command, "grid": grid, **extra})
+    assert str(made.value) == str(read.value)
+    assert str(made.value).startswith(message)
+
+
+def test_sweep_unknown_command_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "norm", "grid": {"M": 3, "alphabet": "0,2", "k": 1}}))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: command 'norm' is not sweepable")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_sweep_refuses_fewer_than_one_thread(tmp_path, capsys, threads):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "dirichlet", "grid": DIRICHLET}))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--threads", threads]) == 2
+    assert capsys.readouterr().err == f"error: threads must be at least 1, got {threads}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_records_a_broken_invariant_as_failed(tmp_path, capsys, monkeypatch):
+    runner, cols = fup.sweep._RUNNERS["dirichlet"]
+
+    @functools.wraps(runner)
+    def broken(*args, **kwargs):
+        if kwargs["alpha"] == 3:
+            raise ArithmeticError("certified floor violated")
+        return runner(*args, **kwargs)
+
+    monkeypatch.setitem(fup.sweep._RUNNERS, "dirichlet", (broken, cols))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "dirichlet", "grid": {**DIRICHLET, "alpha": [3, 5]}}))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["ok"], summary["skipped"], summary["failed"]) == (1, 0, 1)
+    rows = [json.loads(line) for line in
+            (tmp_path / "o" / "results.jsonl").read_text().splitlines()]
+    assert [r["status"] for r in rows] == ["failed", "ok"]
+    assert rows[0]["error"] == "certified floor violated"
 
 
 def test_sweep_refuses_bad_tol_like_the_command(tmp_path, capsys):

@@ -273,6 +273,16 @@ def test_g_bound_tightens_inner_grid_route_in_time():
     assert time.perf_counter() - t0 < 3.0
 
 
+def test_max_shifted_sum_adds_in_place_in_the_rolled_order():
+    # the same additions in the same order as summing np.roll copies
+    tables = [RNG.random(97) for _ in range(4)]
+    terms = list(zip(tables + tables[:1], [0, 5, 96, 97 + 40, 3 * 97]))
+    acc = 0.0
+    for t, s in terms:
+        acc = acc + np.roll(t, -s)
+    assert fup.diophantine._max_shifted_sum(iter(terms)) == float(acc.max())
+
+
 def test_g_bound_refuses_unusable_tables_before_work():
     # M^2 / (alpha Mdelta) = 256 / 20 = 12.8: 13 samples put one in every window
     b = g_bound(16, 4, 5, outer_grid=13)

@@ -1,12 +1,15 @@
 """Seed functions, convolution chains, and the certified band-mass bounds."""
+import dataclasses
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import fup.testfn
 from fup.cantor import Alphabet, build_alphabet_interval, cantor_elements
 from fup.serialize import sanitize
 from fup.testfn import (EXP_STEP_MAX, SeedFunction, band_lipschitz,
@@ -322,3 +325,27 @@ def test_theorem1_delta_validation():
         theorem1_certificate(16, 0.5, 1)
     with pytest.raises(ValueError):
         theorem1_certificate(16, 1.0, 1)
+
+
+def test_theorem1_refuses_bad_tol_before_any_grid_work(monkeypatch):
+    calls = []
+    monkeypatch.setattr(fup.testfn, "z_certificate", lambda *a, **kw: calls.append(a))
+    for tol in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"tol must be positive and finite, got {tol}"):
+            theorem1_certificate(4096, 0.9, 1, tol=tol)
+    assert calls == []
+
+
+def test_theorem1_chain_mass_below_its_floor_fails(monkeypatch):
+    monkeypatch.setattr(fup.testfn, "convolution_chain",
+                        lambda fn, k: SimpleNamespace(u=np.zeros(16**k)))
+    with pytest.raises(ArithmeticError, match="chain mass 0.0 fell below its certified floor"):
+        theorem1_certificate(16, 0.9, 1, grid_points=20_000, y_samples=5_001)
+
+
+def test_theorem1_norm_below_sigma_lower_fails(monkeypatch):
+    real = fup.testfn.masked_norm
+    monkeypatch.setattr(fup.testfn, "masked_norm", lambda *a, **kw: dataclasses.replace(
+        real(*a, **kw), sigma_max=0.0))
+    with pytest.raises(ArithmeticError, match="masked norm 0.0 fell below certified floor"):
+        theorem1_certificate(16, 0.9, 1, grid_points=20_000, y_samples=5_001)
