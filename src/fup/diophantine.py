@@ -132,7 +132,7 @@ def _dirichlet_ratio(Mdelta: int, x,
     integer, which is exact, and r(y) = (-1)^{Mdelta+1} r(d) for y > 1/2:
     taken at y itself, the rounding of pi y just below 1 leaves no correct
     digit (|r| = 1.26 at y = 1 - 2^-53, Mdelta = 6). |r| is taken before
-    np.where: taken after it, the peak memory of g_bound's table grows by
+    np.where: taken after it, the peak memory of a table of |F_1| grows by
     one table.
     """
     if Mdelta < 2:
@@ -222,29 +222,40 @@ def _check_outer_grid(M: int, Mdelta: int, alpha: Fraction, outer_grid: int) -> 
                          "to put a sample in every window")
 
 
-def _cyclic_window_max(f: np.ndarray, n: int) -> np.ndarray:
-    """W_i = max_{i <= j < i + n} f_{j mod P} for every i in Z_P.
+def _half_period_table(L: int, P: int, size: int) -> np.ndarray:
+    """f_{j mod P} = |F_1(j / P)| for j < size. f_{P-j} = f_j, so f1_abs
+    samples j <= P/2 (in cache-sized chunks) and the rest is their mirror."""
+    fe, half = np.empty(size), P // 2 + 1
+    for s in range(0, half, 2**14):
+        fe[s:min(s + 2**14, half)] = f1_abs(L, np.arange(s, min(s + 2**14, half)) / P)
+    fe[half:P] = fe[P - half:0:-1]
+    fe[P:] = fe[np.arange(size - P) % P]
+    return fe
 
-    van Herk / Gil-Werman: cut the cyclically extended table into blocks of
-    n; W_i is the larger of the suffix maximum of i's block from i and the
-    prefix maximum of the next block up to i + n - 1. Three passes,
-    whatever n is.
-    """
-    P = f.size
+
+def _cyclic_window_max(fe: np.ndarray, P: int, n: int) -> np.ndarray:
+    """W_n[i] = max(fe[i:i + n]) for i < P, fe cyclic of P + 2 min(n, P) samples. van Herk /
+    Gil-Werman: in blocks of n, max(i's block from i on, the next block up to i + n - 1)."""
     n = min(n, P)
-    blocks = -(-(P + n - 1) // n)
-    g = np.resize(f, blocks * n).reshape(blocks, n)  # np.resize repeats f
-    prefix = np.maximum.accumulate(g, axis=1).ravel()
-    suffix = np.maximum.accumulate(g[:, ::-1], axis=1)[:, ::-1].ravel()
-    return np.maximum(suffix[:P], prefix[n - 1:n - 1 + P])
+    g = fe[:-(-(P + n - 1) // n) * n].reshape(-1, n)
+    suffix = np.empty_like(g)
+    np.maximum.accumulate(g[:, ::-1], axis=1, out=suffix[:, ::-1])
+    win = suffix.ravel()[:P]
+    return np.maximum(win, np.maximum.accumulate(g, axis=1).ravel()[n - 1:n - 1 + P], out=win)
+
+
+def _widen(win: np.ndarray, fe: np.ndarray, n: int, n_new: int) -> np.ndarray:
+    """W_n -> W_{n_new} in place, by W_{m+1}[i] = max(W_m[i], fe[i + m])."""
+    for m in range(min(n, win.size), min(n_new, win.size)):
+        np.maximum(win, fe[m:m + win.size], out=win)
+    return win
 
 
 def _max_shifted_sum(terms) -> float:
-    """max_i sum over (t, s) in terms of t_{(i + s) mod P}."""
-    terms = iter(terms)
-    t, s = next(terms)
-    acc = np.roll(t, -s)
+    """max_i sum over (t, s) in terms of t_{(i + s) mod P}, added in place in order."""
+    acc = None
     for t, s in terms:
+        acc = np.zeros(t.size) if acc is None else acc
         s %= t.size
         acc[:t.size - s] += t[s:]
         acc[t.size - s:] += t[:s]
@@ -252,33 +263,21 @@ def _max_shifted_sum(terms) -> float:
 
 
 def g_bound(M: int, Mdelta: int, alpha, outer_grid: int = 200_000) -> ExpSumBounds:
-    """Certified bracket of
-    G = M^{-(1-delta)} sup_x sum_{a < Mdelta} sup over the window
-    [x + (alpha/M) a, x + (alpha/M) a + w] of |F_1|, w = alpha Mdelta / M^2.
+    """Certified bracket of G = M^{-(1-delta)} sup_x sum_{a < Mdelta} sup of
+    |F_1| over [x + (alpha/M) a, x + (alpha/M) a + w], w = alpha Mdelta / M^2,
+    from sliding maxima of f_j = |F_1(j h)|, j in Z_P, P = outer_grid,
+    h = 1/P, sampled on half a period: one van Herk maximum at the shortest
+    window, widened a sample at a time, summed over Mdelta shifts. Window
+    lengths and shifts are exact (Fraction): a non-dyadic M rounds safely.
 
-    |F_1| is sampled once, f_j = |F_1(j h)| for j in Z_P with P = outer_grid
-    and h = 1/P; both ends of the bracket are cyclic sliding-window maxima
-    of that table summed over Mdelta shifted copies. Every integer below
-    (window lengths and shifts) is computed exactly with Fraction, so a
-    non-dyadic M rounds on the safe side.
-
-    Upper. Let m = ceil(w P) + 1. A window [y, y + w] with floor(y P) = j0
-    has each point t within h/2 of a sample, and that sample's index lies
-    in [j0, j0 + m]: t P < j0 + 1 + w P, so floor(t P) + 1 <= j0 + m. With
-    |F_1'| <= pi (Mdelta - 1), the window sup is at most
-    U_{j0} = min(1, max_{j0 <= j <= j0 + m} f_j + pi (Mdelta - 1) h / 2).
-    Every x lies in a cell [i h, (i + 1) h), and then
-    floor((x + alpha a / M) P) is i + s_a or i + s_a + 1 with
-    s_a = floor(alpha a P / M). So
-    G <= (Mdelta/M) max_i sum_a max(U_{i+s_a}, U_{i+s_a+1}) = G_upper,
-    where max(U_j, U_{j+1}) is one window of m + 2 samples. The outer grid
-    needs no slack of its own.
-
-    Lower. At x = i h the window of a holds exactly the samples j with
-    j - i in [lo_a, hi_a] = [ceil(alpha a P / M), floor((alpha a / M + w) P)],
-    so G_grid = (Mdelta/M) max_i sum_a max_{lo_a <= t <= hi_a} f_{i+t} <= G.
-    The counts hi_a - lo_a + 1 take at most two values, one sliding maximum
-    each.
+    Upper: each t in [y, y + w], floor(y P) = j0, is within h/2 of some f_j,
+    j0 <= j <= j0 + ceil(w P) + 1 (t P < j0 + 1 + w P), and |F_1'| <= lip =
+    pi (Mdelta - 1), so the window sup is at most U_{j0} = min(1, max f_j +
+    lip h / 2). For x in [i h, (i + 1) h), floor((x + alpha a / M) P) is
+    i + s_a or i + s_a + 1, s_a = floor(alpha a P / M), so G <= (Mdelta/M)
+    max_i sum_a max(U_{i+s_a}, U_{i+s_a+1}) = G_upper. Lower: at x = i h the
+    window of a holds exactly f_{i+t}, ceil(alpha a P / M) <= t <=
+    floor((alpha a / M + w) P), so G_grid = (Mdelta/M) max_i sum_a max f_{i+t} <= G.
     """
     if Mdelta < 2 or Mdelta > M:
         raise ValueError("need 2 <= Mdelta <= M")
@@ -287,16 +286,17 @@ def g_bound(M: int, Mdelta: int, alpha, outer_grid: int = 200_000) -> ExpSumBoun
         raise ValueError("alpha must be >= 1")
     _check_outer_grid(M, Mdelta, alpha, outer_grid)
     L, P = Mdelta, outer_grid
-    w = alpha * L / (M * M)
-    offsets = [alpha * a / M for a in range(L)]
-    h = 1.0 / P
-    lip = math.pi * (L - 1)
-    f = f1_abs(L, np.arange(P) / P)
+    w, offsets = alpha * L / (M * M), [alpha * a / M for a in range(L)]
+    h, lip = 1.0 / P, math.pi * (L - 1)
     lo = [math.ceil(c * P) for c in offsets]
-    counts = [math.floor((c + w) * P) - l + 1 for c, l in zip(offsets, lo)]
-    inside = {n: _cyclic_window_max(f, n) for n in set(counts)}
+    counts = [math.floor((c + w) * P) - l + 1 for c, l in zip(offsets, lo)]  # n0 or n0 + 1
+    n0, n1, n_up = min(counts), max(counts), math.ceil(w * P) + 3
+    fe = _half_period_table(L, P, P + 2 * min(n_up, P))
+    inside = {n0: _cyclic_window_max(fe, P, n0)}
+    inside[n1] = _widen(inside[n0].copy(), fe, n0, n1) if n1 > n0 else inside[n0]
     g_grid = _max_shifted_sum((inside[n], l) for n, l in zip(counts, lo))
-    upper = np.minimum(_cyclic_window_max(f, math.ceil(w * P) + 3) + lip * h / 2, 1.0)
+    upper = _widen(inside[n1], fe, n1, n_up)
+    np.minimum(np.add(upper, lip * h / 2, out=upper), 1.0, out=upper)
     g_upper = _max_shifted_sum((upper, math.floor(c * P)) for c in offsets)
     return ExpSumBounds(M, Mdelta, alpha, math.log(L) / math.log(M),
                         (L / M) * g_grid, (L / M) * g_upper, P, h, lip)

@@ -232,12 +232,12 @@ def _point_dirichlet(M, Mdelta, alpha, regime="strict", **solver):
     ra = best_rational(alpha, M, Mdelta, regime=regime)
     row = {"M": M, "Mdelta": Mdelta, "alpha": str(alpha),
            "b": ra.b, "q": ra.q, "gamma": ra.gamma,
-           "error": f"{ra.error.numerator}/{ra.error.denominator}",
+           "approx_error": f"{ra.error.numerator}/{ra.error.denominator}",
            "strict_ok": ra.strict_ok, "nonstrict_ok": ra.nonstrict_ok}
     return row, ra
 
 
-_DIR_COLS = ["M", "Mdelta", "alpha", "b", "q", "gamma", "error",
+_DIR_COLS = ["M", "Mdelta", "alpha", "b", "q", "gamma", "approx_error",
              "strict_ok", "nonstrict_ok"]
 
 

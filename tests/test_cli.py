@@ -585,6 +585,23 @@ def test_sweep_records_skips_without_aborting(tmp_path, capsys):
     assert rows[0]["error"]
 
 
+def test_dirichlet_sweep_keeps_the_point_error_apart(tmp_path, capsys):
+    # the approximation error |alpha/M - b/q| is approx_error; error is the
+    # point's failure reason, null on an ok row
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "dirichlet",
+                               "grid": {"M": 9, "Mdelta": [0, 2], "alpha": "3/2"}}))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    skipped, ok = [json.loads(line) for line in
+                   (tmp_path / "o" / "results.jsonl").read_text().splitlines()]
+    assert skipped["status"] == "skipped" and skipped["error"]
+    assert ok["status"] == "ok" and ok["error"] is None and ok["approx_error"] == "1/6"
+    header = (tmp_path / "o" / "summary.csv").read_text().splitlines()[0].split(",")
+    assert len(header) == len(set(header))
+    assert header[-3:] == ["nonstrict_ok", "status", "error"]
+
+
 def test_sweep_empty_grid(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"command": "dirichlet",

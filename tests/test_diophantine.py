@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 import fup.diophantine
 from fup.cantor import (Alphabet, CapacityError, build_alphabet_initial,
@@ -281,6 +282,96 @@ def test_max_shifted_sum_adds_in_place_in_the_rolled_order():
     for t, s in terms:
         acc = acc + np.roll(t, -s)
     assert fup.diophantine._max_shifted_sum(iter(terms)) == float(acc.max())
+
+
+@pytest.mark.parametrize("P", [1, 2, 7, 13, 64, 1001])
+def test_widened_window_max_against_sliding_windows(P):
+    f = RNG.random(P)
+    fe = np.resize(f, 3 * P)  # the cyclic extension g_bound builds
+    ext = np.concatenate([f, f])
+    win = fup.diophantine._cyclic_window_max(fe, P, 1)
+    for n in range(1, P + 4):
+        ref = sliding_window_view(ext, n)[:P].max(axis=1) if n < P else np.full(P, f.max())
+        win = fup.diophantine._widen(win, fe, max(n - 1, 1), n)
+        assert np.array_equal(win, ref), n
+        assert np.array_equal(fup.diophantine._cyclic_window_max(fe, P, n), ref), n
+        if n in (P // 2, P, P + 3):  # many samples in one call
+            one = fup.diophantine._widen(fup.diophantine._cyclic_window_max(fe, P, 1), fe, 1, n)
+            assert np.array_equal(one, ref), n
+
+
+@pytest.mark.parametrize("L", [2, 3, 8])
+@pytest.mark.parametrize("P", [1, 2, 7, 13, 64, 1001, 200_000])
+def test_half_period_table_mirrors_f1_abs(L, P):
+    size = 3 * P + 1
+    fe = fup.diophantine._half_period_table(L, P, size)
+    ref = f1_abs(L, np.arange(P) / P)
+    half = P // 2 + 1
+    assert np.array_equal(fe[:half], ref[:half])
+    # past P/2 the direct argument 1 - j/P is off by up to 2^-53 and
+    # |F_1'| <= pi (L - 1); near the zeros of F_1 no relative bound holds
+    assert np.all(np.abs(fe[:P] - ref) <= (math.pi * (L - 1) + 4) * 2.0**-53)
+    assert np.array_equal(fe[1:P], fe[P - 1:0:-1])
+    assert np.array_equal(fe, np.resize(fe[:P], size))
+
+
+def full_period_g_bracket(M, L, alpha, P):
+    """(G_grid, G_upper) the straightforward way: f1_abs on the whole
+    period, one van Herk maximum per window length over np.resize copies,
+    and sums of np.roll copies in g_bound's term order."""
+    def window_max(f, n):
+        n = min(n, P)
+        blocks = -(-(P + n - 1) // n)
+        g = np.resize(f, blocks * n).reshape(blocks, n)
+        prefix = np.maximum.accumulate(g, axis=1).ravel()
+        suffix = np.maximum.accumulate(g[:, ::-1], axis=1)[:, ::-1].ravel()
+        return np.maximum(suffix[:P], prefix[n - 1:n - 1 + P])
+
+    def shifted_sum(terms):
+        return float(sum(np.roll(t, -s) for t, s in terms).max())
+
+    w = alpha * L / (M * M)
+    offsets = [alpha * a / M for a in range(L)]
+    f = f1_abs(L, np.arange(P) / P)
+    lo = [math.ceil(c * P) for c in offsets]
+    counts = [math.floor((c + w) * P) - l + 1 for c, l in zip(offsets, lo)]
+    inside = {n: window_max(f, n) for n in set(counts)}
+    upper = np.minimum(window_max(f, math.ceil(w * P) + 3) + math.pi * (L - 1) / (2 * P), 1.0)
+    return ((L / M) * shifted_sum((inside[n], l) for n, l in zip(counts, lo)),
+            (L / M) * shifted_sum((upper, math.floor(c * P)) for c in offsets))
+
+
+@st.composite
+def g_cases_any_width(draw):
+    M = draw(st.integers(4, 40))
+    L = draw(st.integers(2, min(M, 8)))
+    r = draw(st.integers(1, 4))
+    alpha = Fraction(draw(st.integers(r, M * M * r)), r)  # up to windows of a period
+    least = math.ceil(M * M / (alpha * L))
+    return M, L, alpha, draw(st.integers(least, max(least, 3000)))
+
+
+@given(g_cases_any_width())
+@example((9, 3, Fraction(2), 1001))  # odd P, inside counts 74 and 75
+@example((16, 4, Fraction(5), 13))   # inside counts 1 and 2
+@example((4, 2, Fraction(8), 7))     # w = 1: windows of 8 and 10 samples, past P = 7
+def test_g_bound_matches_full_period_route(case):
+    M, L, alpha, P = case
+    b = g_bound(M, L, alpha, outer_grid=P)
+    for got, want in zip((b.G_grid, b.G_upper), full_period_g_bracket(M, L, alpha, P)):
+        assert abs(got - want) <= 4 * math.ulp(want)
+
+
+def test_g_bound_memory_stays_within_five_tables():
+    P = 200_000
+    g_bound(16, 4, 5, outer_grid=P)  # imports and first-call set-up out of the way
+    tracemalloc.start()
+    try:
+        g_bound(16, 4, 5, outer_grid=P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 8 * P
 
 
 def test_g_bound_refuses_unusable_tables_before_work():
